@@ -60,7 +60,7 @@ int usage(const char* argv0, FILE* dst) {
       "  --batch-max <int>        max requests per batch (default 256)\n"
       "  --seed <u64>             override the scenario seed\n"
       "\n"
-      "Network front-end (see docs/serving.md):\n"
+      "Network front-end (epoll, Linux-only; see docs/serving.md):\n"
       "  --listen <port>          serve admission requests over TCP instead\n"
       "                           of generating/replaying in-process\n"
       "                           (length-prefixed binary frames; 0 binds\n"
@@ -78,7 +78,6 @@ int usage(const char* argv0, FILE* dst) {
       "  --io-timeout <s>         per-connection read/write timeout\n"
       "                           (default 30)\n"
       "  --idle-timeout <s>       reap silent connections (default 300)\n"
-      "  --poll-backend <name>    epoll | poll (default: epoll on Linux)\n"
       "\n"
       "Output:\n"
       "  --out <prefix>           file prefix (default 'server')\n"
@@ -129,6 +128,20 @@ std::uint64_t parse_u64(const std::string& v, const char* what) {
   }
 }
 
+/// The three run files, the optional table and the summary on stdout —
+/// identical for in-process and socket serving.
+void write_outputs(const serve::ServerConfig& config,
+                   const serve::ServerResult& result,
+                   const std::string& out_prefix, bool print_table) {
+  serve::write_telemetry_csv(result, out_prefix + "_telemetry.csv");
+  serve::write_latency_csv(result, out_prefix + "_latency.csv");
+  serve::write_summary_json(config, result, out_prefix + "_summary.json");
+  if (print_table) serve::telemetry_figure(result).print_table(std::cout);
+  serve::write_summary_json(config, result, std::cout);
+  std::printf("wrote %s_telemetry.csv, %s_latency.csv, %s_summary.json\n",
+              out_prefix.c_str(), out_prefix.c_str(), out_prefix.c_str());
+}
+
 int run(int argc, char** argv) {
   serve::ServerConfig config;
   config.scenario = workload::catalog_scenario("paper-grid");
@@ -150,7 +163,6 @@ int run(int argc, char** argv) {
   std::optional<double> flush_idle;
   std::optional<double> io_timeout;
   std::optional<double> idle_timeout;
-  std::optional<std::string> poll_backend;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -216,8 +228,6 @@ int run(int argc, char** argv) {
       io_timeout = parse_double(value("--io-timeout"), "--io-timeout");
     else if (arg == "--idle-timeout")
       idle_timeout = parse_double(value("--idle-timeout"), "--idle-timeout");
-    else if (arg == "--poll-backend")
-      poll_backend = value("--poll-backend");
     else if (arg == "--table")
       print_table = true;
     else {
@@ -236,7 +246,6 @@ int run(int argc, char** argv) {
                        : flush_idle    ? "--flush-idle"
                        : io_timeout    ? "--io-timeout"
                        : idle_timeout  ? "--idle-timeout"
-                       : poll_backend  ? "--poll-backend"
                                        : nullptr;
     if (stray)
       throw ConfigError(std::string(stray) + " requires --listen");
@@ -271,15 +280,6 @@ int run(int argc, char** argv) {
       net.write_timeout_s = *io_timeout;
     }
     if (idle_timeout) net.idle_timeout_s = *idle_timeout;
-    if (poll_backend) {
-      if (*poll_backend == "epoll")
-        net.backend = net::PollBackend::kEpoll;
-      else if (*poll_backend == "poll")
-        net.backend = net::PollBackend::kPoll;
-      else
-        throw ConfigError("bad --poll-backend '" + *poll_backend +
-                          "' (epoll | poll)");
-    }
     net.metrics_interval_s = metrics_interval;
     net.metrics_path = metrics_path;
     // The scrape endpoint serves the registry; count even without --metrics.
@@ -306,14 +306,7 @@ int run(int argc, char** argv) {
     }
     if (!metrics_path.empty()) obs::write_snapshot(metrics_path);
 
-    const serve::ServerResult result = server.result();
-    serve::write_telemetry_csv(result, out_prefix + "_telemetry.csv");
-    serve::write_latency_csv(result, out_prefix + "_latency.csv");
-    serve::write_summary_json(config, result, out_prefix + "_summary.json");
-    if (print_table) serve::telemetry_figure(result).print_table(std::cout);
-    serve::write_summary_json(config, result, std::cout);
-    std::printf("wrote %s_telemetry.csv, %s_latency.csv, %s_summary.json\n",
-                out_prefix.c_str(), out_prefix.c_str(), out_prefix.c_str());
+    write_outputs(config, server.result(), out_prefix, print_table);
     return 0;
   }
 
@@ -322,37 +315,30 @@ int run(int argc, char** argv) {
     snapshots = std::make_unique<obs::SnapshotWriter>(
         metrics_path, metrics_interval, obs::Registry::instance());
 
-  serve::ServerResult result;
+  std::unique_ptr<serve::DecisionServer> server;
   if (replay_path) {
     if (!duration_given) config.duration_s = 0;  // derive from the trace
-    std::vector<serve::StampedRequest> trace =
-        serve::read_trace_file(*replay_path);
-    serve::DecisionServer server(config, std::move(trace));
-    if (snapshots)
-      server.set_second_hook([&snapshots](std::int64_t sec,
-                                          const serve::TelemetryRow&) {
-        snapshots->on_second(sec);
-      });
+    server = std::make_unique<serve::DecisionServer>(
+        config, serve::read_trace_file(*replay_path));
     std::printf("replaying %s: %lld s, policy %s, %d shards, %d threads\n",
                 replay_path->c_str(),
-                static_cast<long long>(server.duration_s()),
+                static_cast<long long>(server->duration_s()),
                 config.policy.c_str(), config.shards, config.threads);
-    result = server.run();
   } else {
-    serve::DecisionServer server(config);
-    if (snapshots)
-      server.set_second_hook([&snapshots](std::int64_t sec,
-                                          const serve::TelemetryRow&) {
-        snapshots->on_second(sec);
-      });
+    server = std::make_unique<serve::DecisionServer>(config);
     std::printf(
         "serving live: %lld s at %d req/s, policy %s, %d shards, %d "
         "threads, seed %llu\n",
-        static_cast<long long>(server.duration_s()), config.requests_per_s,
+        static_cast<long long>(server->duration_s()), config.requests_per_s,
         config.policy.c_str(), config.shards, config.threads,
         static_cast<unsigned long long>(config.scenario.seed));
-    result = server.run();
   }
+  if (snapshots)
+    server->set_second_hook(
+        [&snapshots](std::int64_t sec, const serve::TelemetryRow&) {
+          snapshots->on_second(sec);
+        });
+  const serve::ServerResult result = server->run();
 
   if (!trace_path.empty()) {
     obs::Tracer::stop();
@@ -369,14 +355,7 @@ int run(int argc, char** argv) {
     std::printf("wrote metrics %s\n", metrics_path.c_str());
   }
 
-  serve::write_telemetry_csv(result, out_prefix + "_telemetry.csv");
-  serve::write_latency_csv(result, out_prefix + "_latency.csv");
-  serve::write_summary_json(config, result, out_prefix + "_summary.json");
-
-  if (print_table) serve::telemetry_figure(result).print_table(std::cout);
-  serve::write_summary_json(config, result, std::cout);
-  std::printf("wrote %s_telemetry.csv, %s_latency.csv, %s_summary.json\n",
-              out_prefix.c_str(), out_prefix.c_str(), out_prefix.c_str());
+  write_outputs(config, result, out_prefix, print_table);
   return 0;
 }
 

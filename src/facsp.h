@@ -20,7 +20,6 @@
 #include "fuzzy/variable.h"     // linguistic variables
 
 // Discrete-event simulation
-#include "sim/batch_means.h"  // output analysis for correlated streams
 #include "sim/event_queue.h"  // stable cancellable event set
 #include "sim/rng.h"          // named deterministic streams
 #include "sim/simulator.h"    // the run loop

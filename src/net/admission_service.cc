@@ -1,6 +1,5 @@
 #include "net/admission_service.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -16,7 +15,6 @@ struct ServiceMetrics {
   obs::Counter& decided;
   obs::Counter& shed;
   obs::Gauge& pending;
-  obs::Gauge& active_sessions;
 
   static ServiceMetrics& get() {
     static ServiceMetrics m{
@@ -24,9 +22,6 @@ struct ServiceMetrics {
         obs::Registry::instance().counter("net.decided"),
         obs::Registry::instance().counter("net.shed"),
         obs::Registry::instance().gauge("net.pending"),
-        // Same name (and therefore the same gauge) the in-process serving
-        // loop updates — registry parity between the two front-ends.
-        obs::Registry::instance().gauge("serve.active_sessions"),
     };
     return m;
   }
@@ -55,12 +50,14 @@ AdmissionService::AdmissionService(const serve::ServerConfig& config,
   if (!(max_skew_s_ > 0.0) || !std::isfinite(max_skew_s_))
     throw ConfigError("net: max skew must be positive and finite");
   shards_.reserve(static_cast<std::size_t>(config_.shards));
+  cores_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s) {
     shards_.push_back(std::make_unique<NetShard>(config_, s));
     shards_.back()->core.reserve_windows(reserve_seconds);
+    cores_.push_back(&shards_.back()->core);
   }
-  telemetry_.reserve(reserve_seconds);
-  latency_.reserve(reserve_seconds);
+  result_.telemetry.reserve(reserve_seconds);
+  result_.latency.reserve(reserve_seconds);
 }
 
 AdmissionService::Submit AdmissionService::submit(
@@ -82,17 +79,17 @@ AdmissionService::Submit AdmissionService::submit(
     // The watermark entered a new second: every open batch belongs to an
     // earlier one (its close time is at most its second's end, which the
     // new arrival has passed), so decide them all, then seal the finished
-    // seconds in fixed shard order — the exact merge DecisionServer runs.
+    // seconds.
     for (const auto& s : shards_)
       if (!s->batch.empty()) process_shard(*s);
     for (std::int64_t sec = next_second_; sec < S; ++sec)
       finalize_second(sec);
     next_second_ = S;
   }
-  // Inside the current second, the watermark passing a batch's window
-  // boundary closes it: any later same-shard arrival would be past the
-  // boundary too, so the contents match serve::batch_end's partition while
-  // responses never wait for the next same-shard arrival.
+  // Inside the current second, the watermark reaching a batch's close time
+  // closes it: any later same-shard arrival would be past it too, so the
+  // contents match serve::batch_end's partition while responses never wait
+  // for the next same-shard arrival.
   for (const auto& s : shards_)
     if (!s->batch.empty() && s->close <= t) process_shard(*s);
 
@@ -104,11 +101,8 @@ AdmissionService::Submit AdmissionService::submit(
 
   if (pending_ >= pending_cap_) shed_oldest();
 
-  if (shard.batch.empty()) {
-    const double w = config_.batch_window_s;
-    shard.close = std::min(std::floor(t) + 1.0,
-                           (std::floor(t / w) + 1.0) * w);
-  }
+  if (shard.batch.empty())
+    shard.close = serve::batch_close(t, config_.batch_window_s);
   shard.batch.push_back(r.req);
   shard.holdings.push_back(r.holding_s);
   shard.conns.push_back(conn);
@@ -150,34 +144,8 @@ void AdmissionService::process_shard(NetShard& s) {
 }
 
 void AdmissionService::finalize_second(std::int64_t sec) {
-  serve::TelemetryRow merged;
-  merged.window = sec;
-  second_lat_.reset();
-  for (const auto& s : shards_) {
-    s->core.finish_second(sec);
-    FACSP_ENSURES(s->core.window().rows().back().window == sec);
-    merged.merge(s->core.window().rows().back());
-    second_lat_.merge(s->core.second_hist());
-  }
-  total_decisions_ += merged.decisions;
-  total_admitted_ += merged.admitted;
-  telemetry_.push_back(merged);
-  if (obs::metrics_enabled())
-    ServiceMetrics::get().active_sessions.set(merged.active_sessions);
-
-  serve::LatencyRow lat;
-  lat.window = sec;
-  lat.samples = second_lat_.count();
-  if (lat.samples > 0) {
-    lat.p50_ns = second_lat_.percentile_ns(0.50);
-    lat.p95_ns = second_lat_.percentile_ns(0.95);
-    lat.p99_ns = second_lat_.percentile_ns(0.99);
-    lat.p999_ns = second_lat_.percentile_ns(0.999);
-    lat.mean_ns = second_lat_.mean_ns();
-    lat.max_ns = second_lat_.max_ns();
-  }
-  latency_.push_back(lat);
-  overall_.merge(second_lat_);
+  for (const auto& s : shards_) s->core.finish_second(sec);
+  const serve::TelemetryRow& merged = serve::merge_second(cores_, sec, result_);
   if (second_hook_) second_hook_(sec, merged);
 }
 
@@ -227,17 +195,6 @@ void AdmissionService::drain() {
     next_second_ = S + 1;
   }
   drained_ = true;
-}
-
-serve::ServerResult AdmissionService::result() const {
-  serve::ServerResult r;
-  r.window_s = 1.0;
-  r.telemetry = telemetry_;
-  r.latency = latency_;
-  r.overall = overall_;
-  r.total_decisions = total_decisions_;
-  r.total_admitted = total_admitted_;
-  return r;
 }
 
 }  // namespace facsp::net

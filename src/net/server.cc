@@ -100,7 +100,6 @@ NetServer::NetServer(const serve::ServerConfig& serve_config,
       service_(serve_config, net.pending_cap, net.reserve_seconds,
                net.max_skew_s) {
   net_.validate();
-  poller_ = make_poller(net_.backend);
   listen_fd_ = listen_tcp(net_.host, static_cast<std::uint16_t>(net_.port),
                           net_.backlog);
   if (net_.telemetry_port >= 0)
@@ -108,10 +107,10 @@ NetServer::NetServer(const serve::ServerConfig& serve_config,
         net_.host, static_cast<std::uint16_t>(net_.telemetry_port),
         net_.backlog);
 
-  poller_->add(listen_fd_.get(), /*read=*/true, /*write=*/false);
+  poller_.add(listen_fd_.get(), /*read=*/true, /*write=*/false);
   if (telemetry_fd_.valid())
-    poller_->add(telemetry_fd_.get(), true, false);
-  poller_->add(wake_.read_end.get(), true, false);
+    poller_.add(telemetry_fd_.get(), true, false);
+  poller_.add(wake_.read_end.get(), true, false);
 
   by_fd_.resize(256, nullptr);
   by_id_.reserve(256);
@@ -184,7 +183,7 @@ void NetServer::run() {
     // spinning.
     const int timeout_ms = static_cast<int>(
         std::max(10.0, std::min(50.0, net_.flush_idle_s * 1000.0 / 2.0)));
-    poller_->wait(timeout_ms, events_);
+    poller_.wait(timeout_ms, events_);
 
     for (const PollEvent& ev : events_) {
       if (ev.fd == wake_.read_end.get()) {
@@ -263,7 +262,7 @@ void NetServer::accept_admission() {
       by_fd_.resize(static_cast<std::size_t>(raw) + 64, nullptr);
     by_fd_[static_cast<std::size_t>(raw)] = c;
     by_id_[c->id] = c;
-    poller_->add(raw, /*read=*/true, /*write=*/false);
+    poller_.add(raw, /*read=*/true, /*write=*/false);
     ++open_connections_;
     if (obs::metrics_enabled()) {
       LoopMetrics& m = LoopMetrics::get();
@@ -317,7 +316,7 @@ void NetServer::accept_telemetry() {
       by_fd_.resize(static_cast<std::size_t>(raw) + 64, nullptr);
     by_fd_[static_cast<std::size_t>(raw)] = c;
     by_id_[c->id] = c;
-    poller_->add(raw, /*read=*/false, /*write=*/true);
+    poller_.add(raw, /*read=*/false, /*write=*/true);
     c->want_write = true;
     ++open_connections_;
     if (obs::metrics_enabled()) {
@@ -544,14 +543,14 @@ void NetServer::flush_writes(Connection& c) {
 void NetServer::on_writable(Connection& c) { flush_writes(c); }
 
 void NetServer::update_interest(Connection& c) {
-  poller_->modify(c.fd.get(), /*read=*/!c.paused && !c.closing,
-                  /*write=*/c.want_write);
+  poller_.modify(c.fd.get(), /*read=*/!c.paused && !c.closing,
+                 /*write=*/c.want_write);
 }
 
 void NetServer::close_connection(Connection& c) {
   if (!c.open) return;
   const int raw = c.fd.get();
-  poller_->remove(raw);
+  poller_.remove(raw);
   by_fd_[static_cast<std::size_t>(raw)] = nullptr;
   by_id_.erase(c.id);
   c.fd.reset();
@@ -609,10 +608,10 @@ void NetServer::build_scrape(std::string& out) const {
 
 void NetServer::drain() {
   // Stop accepting; the listening sockets close before anything else.
-  poller_->remove(listen_fd_.get());
+  poller_.remove(listen_fd_.get());
   listen_fd_.reset();
   if (telemetry_fd_.valid()) {
-    poller_->remove(telemetry_fd_.get());
+    poller_.remove(telemetry_fd_.get());
     telemetry_fd_.reset();
   }
 
@@ -629,7 +628,7 @@ void NetServer::drain() {
     for (const auto& slot : slots_)
       if (slot->open && !slot->out.empty()) backlog = true;
     if (!backlog) break;
-    poller_->wait(20, events_);
+    poller_.wait(20, events_);
     for (const PollEvent& ev : events_) {
       Connection* c = ev.fd >= 0 && ev.fd < static_cast<int>(by_fd_.size())
                           ? by_fd_[static_cast<std::size_t>(ev.fd)]

@@ -1,5 +1,5 @@
-// The socket front-end: a single-threaded non-blocking event loop (epoll
-// on Linux, poll elsewhere — level-triggered either way) hosting
+// The socket front-end (Linux-only): a single-threaded non-blocking,
+// level-triggered epoll event loop hosting
 //
 //   * the admission port — length-prefixed binary frames (net/frame.h)
 //     from any number of connections, accumulated across connections into
@@ -82,8 +82,6 @@ struct NetConfig {
   /// Telemetry row / latency reservation horizon (simulated seconds).
   std::size_t reserve_seconds = 4096;
 
-  PollBackend backend = PollBackend::kAuto;
-
   /// On drain, write <out_prefix>_telemetry.csv / _latency.csv /
   /// _summary.json like the in-process server (empty = skip).
   std::string out_prefix;
@@ -145,7 +143,7 @@ class NetServer {
   serve::ServerConfig serve_config_;
   NetConfig net_;
   AdmissionService service_;
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   UniqueFd listen_fd_;
   UniqueFd telemetry_fd_;
   WakePipe wake_;

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <vector>
@@ -34,35 +32,6 @@ bool metrics_enabled() noexcept {
 
 void set_metrics_enabled(bool enabled) noexcept {
   g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-std::uint64_t Histogram::percentile(double q) const noexcept {
-  const std::uint64_t total = count();
-  if (total == 0 || !(q >= 0.0 && q <= 1.0)) return 0;
-  const std::uint64_t rank = std::max<std::uint64_t>(
-      1,
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) {
-      // Same index -> upper-bound arithmetic as
-      // serve::LatencyHistogram::percentile_ns (geometry reuse).
-      constexpr std::uint64_t kSub = serve::LatencyHistogram::kSubBuckets;
-      if (i < kSub * 2) return i;
-      const std::size_t shift = i / kSub - 1;
-      const std::uint64_t sub = i % kSub + kSub;
-      return ((sub + 1) << shift) - 1;
-    }
-  }
-  return max();  // concurrent recording moved the rank past the scan
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
 }
 
 Registry& Registry::instance() {
@@ -137,11 +106,11 @@ namespace {
 void write_histogram_json(std::ostream& os, const Histogram& h) {
   os << "{\"count\": " << h.count() << ", \"sum\": " << h.sum()
      << ", \"mean\": " << core::format_double(h.mean())
-     << ", \"p50\": " << h.percentile(0.50)
-     << ", \"p95\": " << h.percentile(0.95)
-     << ", \"p99\": " << h.percentile(0.99)
-     << ", \"p999\": " << h.percentile(0.999) << ", \"max\": " << h.max()
-     << "}";
+     << ", \"p50\": " << h.percentile_or_zero(0.50)
+     << ", \"p95\": " << h.percentile_or_zero(0.95)
+     << ", \"p99\": " << h.percentile_or_zero(0.99)
+     << ", \"p999\": " << h.percentile_or_zero(0.999)
+     << ", \"max\": " << h.max() << "}";
 }
 
 template <typename Fn>
@@ -204,10 +173,14 @@ void Registry::write_csv(std::ostream& os) const {
            << "histogram," << name << ",sum," << h.sum() << '\n'
            << "histogram," << name << ",mean,"
            << core::format_double(h.mean()) << '\n'
-           << "histogram," << name << ",p50," << h.percentile(0.50) << '\n'
-           << "histogram," << name << ",p95," << h.percentile(0.95) << '\n'
-           << "histogram," << name << ",p99," << h.percentile(0.99) << '\n'
-           << "histogram," << name << ",p999," << h.percentile(0.999) << '\n'
+           << "histogram," << name << ",p50,"
+           << h.percentile_or_zero(0.50) << '\n'
+           << "histogram," << name << ",p95,"
+           << h.percentile_or_zero(0.95) << '\n'
+           << "histogram," << name << ",p99,"
+           << h.percentile_or_zero(0.99) << '\n'
+           << "histogram," << name << ",p999,"
+           << h.percentile_or_zero(0.999) << '\n'
            << "histogram," << name << ",max," << h.max() << '\n';
         break;
       }

@@ -1,5 +1,6 @@
 // Process-wide metrics registry: named counters, gauges and log-linear
-// histograms with lock-free recording on hot paths.
+// histograms (obs::Histogram, obs/histogram.h) with lock-free recording on
+// hot paths.
 //
 // Contract (the reason this layer may sit inside the zero-allocation
 // serving/simulation loops):
@@ -29,7 +30,6 @@
 // or after joins when exactness matters.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -40,7 +40,7 @@
 #include <string>
 #include <string_view>
 
-#include "serve/latency_histogram.h"
+#include "obs/histogram.h"
 
 namespace facsp::obs {
 
@@ -80,60 +80,6 @@ class Gauge {
 
  private:
   std::atomic<std::int64_t> value_{0};
-};
-
-/// Concurrent log-linear histogram of non-negative integer samples
-/// (durations in ns, batch sizes, ...).  Reuses serve::LatencyHistogram's
-/// bucket geometry verbatim — bucket_index / bucket_upper_bound are the
-/// same functions, so the <=1/16 relative quantisation error bound and the
-/// exact-below-32 property carry over (tests/obs/test_metrics.cc pins the
-/// two geometries against each other).  Buckets are atomics, making
-/// record() safe from any number of threads.
-class Histogram {
- public:
-  static constexpr std::size_t kBucketCount =
-      serve::LatencyHistogram::kBucketCount;
-
-  void record(std::uint64_t v) noexcept {
-    buckets_[serve::LatencyHistogram::bucket_index(v)].fetch_add(
-        1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t cur = max_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  /// Largest recorded sample, exact (not quantised).
-  std::uint64_t max() const noexcept {
-    return max_.load(std::memory_order_relaxed);
-  }
-  double mean() const noexcept {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0
-                  : static_cast<double>(sum()) / static_cast<double>(n);
-  }
-
-  /// Upper bound of the bucket holding the ceil(q * count)-th smallest
-  /// sample — same rank statistic and quantisation as
-  /// serve::LatencyHistogram::percentile_ns.  Returns 0 when empty (a
-  /// snapshot of an untouched histogram must not throw).
-  std::uint64_t percentile(double q) const noexcept;
-
-  void reset() noexcept;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
 };
 
 /// The process-wide name -> metric map.  One instance per process

@@ -202,16 +202,15 @@ void ShardCore::finish_second(std::int64_t second) {
   row.active_sessions = static_cast<std::int64_t>(expiries_.size());
 }
 
+double batch_close(double t0, double batch_window_s) noexcept {
+  return std::min(std::floor(t0) + 1.0,
+                  (std::floor(t0 / batch_window_s) + 1.0) * batch_window_s);
+}
+
 std::size_t batch_end(std::span<const cac::AdmissionRequest> arrivals,
                       std::size_t i, double batch_window_s,
                       int batch_max) noexcept {
-  // The batch opens at the first buffered arrival and closes at the next
-  // batching-window boundary (or at batch_max requests, or at the end of
-  // the arrival's simulated second).
-  const double t0 = arrivals[i].now;
-  const double second_end = std::floor(t0) + 1.0;
-  const double close = std::min(
-      second_end, (std::floor(t0 / batch_window_s) + 1.0) * batch_window_s);
+  const double close = batch_close(arrivals[i].now, batch_window_s);
   std::size_t j = i + 1;
   while (j < arrivals.size() && j - i < static_cast<std::size_t>(batch_max) &&
          arrivals[j].now < close)
@@ -256,6 +255,7 @@ void DecisionServer::build_shards() {
   // shard; the registry lookup is cheap and pure).
   (void)core::policy_factory_by_name(config_.policy);
   shards_.reserve(static_cast<std::size_t>(config_.shards));
+  cores_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>(config_, s);
     if (replay_) {
@@ -275,6 +275,7 @@ void DecisionServer::build_shards() {
           kShardIdStride * static_cast<cellular::ConnectionId>(s + 1) + 1);
     }
     shard->core.reserve_windows(static_cast<std::size_t>(duration_s_));
+    cores_.push_back(&shard->core);
     shards_.push_back(std::move(shard));
   }
 }
@@ -296,6 +297,38 @@ void DecisionServer::run_second(Shard& shard, std::int64_t second) {
   shard.core.finish_second(second);
 }
 
+const TelemetryRow& merge_second(std::span<const ShardCore* const> cores,
+                                 std::int64_t second, ServerResult& result) {
+  TelemetryRow merged;
+  merged.window = second;
+  LatencyHistogram second_lat;
+  for (const ShardCore* core : cores) {
+    FACSP_ENSURES(core->window().rows().back().window == second);
+    merged.merge(core->window().rows().back());
+    second_lat.merge(core->second_hist());
+  }
+  result.total_decisions += merged.decisions;
+  result.total_admitted += merged.admitted;
+  result.telemetry.push_back(merged);
+  if (obs::metrics_enabled())
+    ServeMetrics::get().active_sessions.set(merged.active_sessions);
+
+  LatencyRow lat;
+  lat.window = second;
+  lat.samples = second_lat.count();
+  if (lat.samples > 0) {
+    lat.p50_ns = second_lat.percentile(0.50);
+    lat.p95_ns = second_lat.percentile(0.95);
+    lat.p99_ns = second_lat.percentile(0.99);
+    lat.p999_ns = second_lat.percentile(0.999);
+    lat.mean_ns = second_lat.mean();
+    lat.max_ns = second_lat.max();
+  }
+  result.latency.push_back(lat);
+  result.overall.merge(second_lat);
+  return result.telemetry.back();
+}
+
 ServerResult DecisionServer::run() {
   ServerResult result;
   result.telemetry.reserve(static_cast<std::size_t>(duration_s_));
@@ -305,7 +338,6 @@ ServerResult DecisionServer::run() {
   std::unique_ptr<sim::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<sim::ThreadPool>(threads);
 
-  LatencyHistogram second_lat;
   const auto wall_start = std::chrono::steady_clock::now();
   for (std::int64_t sec = 0; sec < duration_s_; ++sec) {
     if (pool) {
@@ -324,36 +356,8 @@ ServerResult DecisionServer::run() {
       }
     }
 
-    // Fixed-order merge: shard 0, 1, 2, ... regardless of which thread
-    // finished first — this is what makes telemetry thread-count-invariant.
-    TelemetryRow merged;
-    merged.window = sec;
-    second_lat.reset();
-    for (const auto& shard : shards_) {
-      FACSP_ENSURES(shard->core.window().rows().back().window == sec);
-      merged.merge(shard->core.window().rows().back());
-      second_lat.merge(shard->core.second_hist());
-    }
-    result.total_decisions += merged.decisions;
-    result.total_admitted += merged.admitted;
-    result.telemetry.push_back(merged);
-    if (obs::metrics_enabled())
-      ServeMetrics::get().active_sessions.set(merged.active_sessions);
+    const TelemetryRow& merged = merge_second(cores_, sec, result);
     if (second_hook_) second_hook_(sec, merged);
-
-    LatencyRow lat;
-    lat.window = sec;
-    lat.samples = second_lat.count();
-    if (lat.samples > 0) {
-      lat.p50_ns = second_lat.percentile_ns(0.50);
-      lat.p95_ns = second_lat.percentile_ns(0.95);
-      lat.p99_ns = second_lat.percentile_ns(0.99);
-      lat.p999_ns = second_lat.percentile_ns(0.999);
-      lat.mean_ns = second_lat.mean_ns();
-      lat.max_ns = second_lat.max_ns();
-    }
-    result.latency.push_back(lat);
-    result.overall.merge(second_lat);
   }
   const auto wall_elapsed = std::chrono::steady_clock::now() - wall_start;
   result.wall_s =
@@ -484,12 +488,12 @@ void write_summary_json(const ServerConfig& config, const ServerResult& result,
      << ",\n"
      << "  \"latency_ns\": ";
   if (result.overall.count() > 0) {
-    os << "{\"p50\": " << result.overall.percentile_ns(0.50)
-       << ", \"p95\": " << result.overall.percentile_ns(0.95)
-       << ", \"p99\": " << result.overall.percentile_ns(0.99)
-       << ", \"p999\": " << result.overall.percentile_ns(0.999)
-       << ", \"mean\": " << format_double(result.overall.mean_ns())
-       << ", \"max\": " << result.overall.max_ns() << "}\n";
+    os << "{\"p50\": " << result.overall.percentile(0.50)
+       << ", \"p95\": " << result.overall.percentile(0.95)
+       << ", \"p99\": " << result.overall.percentile(0.99)
+       << ", \"p999\": " << result.overall.percentile(0.999)
+       << ", \"mean\": " << format_double(result.overall.mean())
+       << ", \"max\": " << result.overall.max() << "}\n";
   } else {
     os << "null\n";
   }

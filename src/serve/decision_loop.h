@@ -38,13 +38,16 @@
 #include <vector>
 
 #include "core/scenario.h"
-#include "serve/latency_histogram.h"
+#include "obs/histogram.h"
 #include "serve/request_stream.h"
 #include "serve/rolling_window.h"
 #include "serve/trace.h"
 #include "sim/timeseries.h"
 
 namespace facsp::serve {
+
+/// Decision-latency histogram of one shard, one second or one run.
+using LatencyHistogram = obs::LogLinearHistogram<std::uint64_t>;
 
 /// Everything the decision server depends on.
 struct ServerConfig {
@@ -185,14 +188,30 @@ class ShardCore {
   std::int64_t current_second_ = -1;
 };
 
-/// Greedy batching step shared by the serving loop and the socket
-/// front-end: for time-sorted `arrivals` with an open batch starting at
-/// `i`, returns the exclusive end `j` of that batch.  The batch closes at
-/// the next batch_window_s boundary after arrivals[i].now (never crossing
-/// the end of arrivals[i]'s simulated second) or at batch_max requests.
+/// The batch-closing rule of every serving path: a batch opened by an
+/// arrival at `t0` takes arrivals strictly before the returned time — the
+/// next batch_window_s boundary after t0, clamped to the end of t0's
+/// simulated second.  (A batch also closes at batch_max requests.)
+double batch_close(double t0, double batch_window_s) noexcept;
+
+/// Greedy batching step of the in-process serving loop: for time-sorted
+/// `arrivals` with an open batch starting at `i`, returns the exclusive end
+/// `j` of that batch — the first arrival at or past
+/// batch_close(arrivals[i].now), or i + batch_max.
 std::size_t batch_end(std::span<const cac::AdmissionRequest> arrivals,
                       std::size_t i, double batch_window_s,
                       int batch_max) noexcept;
+
+/// The fixed-order per-second merge behind DecisionServer::run and
+/// net::AdmissionService: merges second `second` of every core — each must
+/// have finished it — in the order given (shard 0, 1, 2, ... regardless of
+/// which thread finished first), which is what makes telemetry
+/// thread-count-invariant.  Appends the merged telemetry row and the
+/// second's latency percentiles to `result`, folds the second's histogram
+/// into result.overall and its counts into the totals.  Returns the merged
+/// row.
+const TelemetryRow& merge_second(std::span<const ShardCore* const> cores,
+                                 std::int64_t second, ServerResult& result);
 
 /// The serving loop.  Construct in live mode (requests synthesised by the
 /// workload layer) or replay mode (requests read from a recorded trace,
@@ -230,6 +249,7 @@ class DecisionServer {
   bool replay_ = false;
   std::int64_t duration_s_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<const ShardCore*> cores_;  ///< shards_[s]->core, shard order
   SecondHook second_hook_;
 };
 

@@ -189,5 +189,45 @@ TEST(DecisionServer, RenderingHasStableShape) {
   EXPECT_EQ(fig.series()[0].size(), 3u);
 }
 
+std::vector<cac::AdmissionRequest> arrivals_at(std::vector<double> times) {
+  std::vector<cac::AdmissionRequest> out(times.size());
+  for (std::size_t k = 0; k < times.size(); ++k) out[k].now = times[k];
+  return out;
+}
+
+TEST(BatchClose, ClosesAtTheNextWindowBoundary) {
+  const auto a = arrivals_at({0.1, 0.2, 0.24, 0.3});
+  EXPECT_EQ(batch_close(0.1, 0.25), 0.25);
+  EXPECT_EQ(batch_end(a, 0, 0.25, 256), 3u);
+}
+
+TEST(BatchClose, ClampsToTheSecondsEndWhenTheWindowDoesNotDivideIt) {
+  // 0.07 s windows: the window opened at 0.99 would run to 1.05.
+  EXPECT_EQ(batch_close(0.99, 0.07), 1.0);
+  EXPECT_EQ(batch_close(1.99, 0.07), 2.0);
+  const auto a = arrivals_at({0.99, 0.995, 0.999, 1.0, 1.01});
+  EXPECT_EQ(batch_end(a, 0, 0.07, 256), 3u);
+}
+
+TEST(BatchClose, ArrivalOnABoundaryOpensTheNextBatch) {
+  const auto a = arrivals_at({0.1, 0.25, 0.3, 0.5});
+  EXPECT_EQ(batch_end(a, 0, 0.25, 256), 1u);
+  EXPECT_EQ(batch_close(0.25, 0.25), 0.5);
+  EXPECT_EQ(batch_end(a, 1, 0.25, 256), 3u);
+  EXPECT_EQ(batch_end(a, 3, 0.25, 256), 4u);
+}
+
+TEST(BatchClose, BatchMaxCapsTheBatch) {
+  const auto a = arrivals_at({0.01, 0.02, 0.03, 0.04, 0.05});
+  EXPECT_EQ(batch_end(a, 0, 0.1, 2), 2u);
+  EXPECT_EQ(batch_end(a, 2, 0.1, 2), 4u);
+  EXPECT_EQ(batch_end(a, 4, 0.1, 2), 5u);
+}
+
+TEST(BatchClose, LoneArrivalIsItsOwnBatch) {
+  EXPECT_EQ(batch_end(arrivals_at({0.5}), 0, 0.1, 256), 1u);
+  EXPECT_EQ(batch_end(arrivals_at({0.05, 0.15}), 0, 0.1, 256), 1u);
+}
+
 }  // namespace
 }  // namespace facsp::serve
