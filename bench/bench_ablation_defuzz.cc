@@ -10,31 +10,21 @@ int main() {
   using namespace facsp::bench;
 
   std::cout << "=== Ablation: defuzzification method (FACS-P) ===\n";
-  const auto scenario = core::paper_scenario();
-  const auto sweep = core::SweepConfig::paper_grid(replications());
-
-  const fuzzy::DefuzzMethod methods[] = {
-      fuzzy::DefuzzMethod::kCentroid,
-      fuzzy::DefuzzMethod::kBisector,
-      fuzzy::DefuzzMethod::kMeanOfMaximum,
-      fuzzy::DefuzzMethod::kWeightedAverage,
-  };
-
-  sim::Figure fig("A2 — acceptance vs N per defuzzification method", "N",
-                  "percentage of accepted calls");
-  std::vector<sim::Series> acc;
-  for (auto m : methods) {
+  std::vector<core::PolicyChoice> methods;
+  for (auto m : {fuzzy::DefuzzMethod::kCentroid, fuzzy::DefuzzMethod::kBisector,
+                 fuzzy::DefuzzMethod::kMeanOfMaximum,
+                 fuzzy::DefuzzMethod::kWeightedAverage}) {
     cac::FacsPConfig cfg;
     cfg.defuzz_method = m;
-    const std::string label = fuzzy::to_string(m);
-    core::Experiment exp(scenario, core::make_facs_p_factory(cfg), label);
-    const auto s = exp.run(sweep).acceptance_series();
-    auto& dst = fig.add_series(label);
-    for (std::size_t i = 0; i < s.size(); ++i)
-      dst.add(s.x(i), s.y(i), s.ci(i).value_or(0.0));
-    acc.push_back(s);
-    std::cerr << "  [" << label << "] done\n";
+    methods.push_back({fuzzy::to_string(m), core::make_facs_p_factory(cfg)});
   }
+  core::SweepSpec spec;
+  spec.base = core::paper_scenario();
+  spec.policy_axis(std::move(methods));
+  std::vector<sim::Series> acc;
+  const auto fig = run_acceptance_figure(
+      "A2 — acceptance vs N per defuzzification method", std::move(spec),
+      &acc);
 
   std::vector<core::ShapeCheck> checks;
   {

@@ -12,35 +12,35 @@ int main() {
   using namespace facsp::bench;
 
   std::cout << "=== Ablation: FACS-P real-time priority weight ===\n";
-  const auto scenario = core::paper_scenario();
-  const double weights[] = {1.0, 1.3, 1.6, 2.0};
-  const auto sweep = core::SweepConfig::paper_grid(replications());
+  std::vector<core::PolicyChoice> weighted;
+  for (double w : {1.0, 1.3, 1.6, 2.0}) {
+    cac::FacsPConfig cfg;
+    cfg.weights.real_time = w;
+    weighted.push_back({"w_rt=" + std::to_string(w).substr(0, 3),
+                        core::make_facs_p_factory(cfg)});
+  }
+  core::SweepSpec spec;
+  spec.base = core::paper_scenario();
+  spec.policy_axis(std::move(weighted));
+  const core::SweepAxis weights = spec.axes.front();
+  // FACS rides in the same sweep as the crossover reference; it is not
+  // plotted.
+  spec.axes.front().policies.push_back({"FACS", core::make_facs_factory()});
+  const core::ResultTable table = run_paper_sweep(std::move(spec));
+  const auto facs = core::table_series(table, "policy", "FACS",
+                                       &core::ResultRow::acceptance_percent);
 
   sim::Figure fig("A1 — acceptance vs N for priority weights (FACS-P)", "N",
                   "percentage of accepted calls");
   sim::Figure drops("A1b — handoff dropping vs N for priority weights", "N",
                     "dropping probability (%)");
-  std::vector<sim::Series> acc;
-  const auto facs =
-      core::Experiment(scenario, core::make_facs_factory(), "FACS")
-          .run(sweep)
-          .acceptance_series();
-
-  for (double w : weights) {
-    cac::FacsPConfig cfg;
-    cfg.weights.real_time = w;
-    const std::string label = "w_rt=" + std::to_string(w).substr(0, 3);
-    core::Experiment exp(scenario, core::make_facs_p_factory(cfg), label);
-    const auto result = exp.run(sweep);
-    const auto s = result.acceptance_series();
-    const auto d = result.dropping_series();
-    auto& dst = fig.add_series(label);
-    for (std::size_t i = 0; i < s.size(); ++i)
-      dst.add(s.x(i), s.y(i), s.ci(i).value_or(0.0));
-    auto& ddst = drops.add_series(label);
+  const auto acc =
+      axis_series(table, weights, &core::ResultRow::acceptance_percent);
+  for (const auto& s : acc) fig.add_series(s.name()) = s;
+  for (const auto& d :
+       axis_series(table, weights, &core::ResultRow::dropping_percent)) {
+    auto& ddst = drops.add_series(d.name());
     for (std::size_t i = 0; i < d.size(); ++i) ddst.add(d.x(i), d.y(i));
-    acc.push_back(s);
-    std::cerr << "  [" << label << "] done\n";
   }
 
   std::vector<core::ShapeCheck> checks;

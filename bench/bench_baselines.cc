@@ -11,35 +11,28 @@ int main() {
   std::cout << "=== Extension: FACS-P vs classical baselines ===\n";
   // Background traffic in every cell so handoffs actually contend — the
   // dropping comparison is the point of this bench.
-  auto scenario = core::paper_scenario();
-  scenario.spatial.kind = workload::SpatialKind::kUniform;
-  const auto sweep = core::SweepConfig::paper_grid(replications());
-
-  const std::vector<NamedPolicy> policies = {
-      {"FACS-P", core::make_facs_p_factory()},
-      {"CS", core::make_complete_sharing_factory()},
-      {"GC(8)", core::make_guard_channel_factory(8.0)},
-      {"FGC(8)", core::make_fractional_guard_factory(8.0)},
-  };
+  core::SweepSpec spec;
+  spec.base = core::paper_scenario();
+  spec.base.spatial.kind = workload::SpatialKind::kUniform;
+  spec.policy_axis({{"FACS-P", core::make_facs_p_factory()},
+                    {"CS", core::make_complete_sharing_factory()},
+                    {"GC(8)", core::make_guard_channel_factory(8.0)},
+                    {"FGC(8)", core::make_fractional_guard_factory(8.0)}});
+  const core::SweepAxis policies = spec.axes.front();
+  const core::ResultTable table = run_paper_sweep(std::move(spec));
+  const auto acc =
+      axis_series(table, policies, &core::ResultRow::acceptance_percent);
+  const auto drops =
+      axis_series(table, policies, &core::ResultRow::dropping_percent);
 
   sim::Figure acc_fig("A3 — acceptance vs N, FACS-P vs classical CAC", "N",
                       "percentage of accepted calls");
   sim::Figure drop_fig("A3b — handoff dropping vs N", "N",
                        "dropping probability (%)");
-  std::vector<sim::Series> acc, drops;
-  for (const auto& p : policies) {
-    core::Experiment exp(scenario, p.factory, p.name);
-    const auto result = exp.run(sweep);
-    const auto a = result.acceptance_series();
-    const auto d = result.dropping_series();
-    auto& adst = acc_fig.add_series(p.name);
-    for (std::size_t i = 0; i < a.size(); ++i)
-      adst.add(a.x(i), a.y(i), a.ci(i).value_or(0.0));
-    auto& ddst = drop_fig.add_series(p.name);
+  for (const auto& a : acc) acc_fig.add_series(a.name()) = a;
+  for (const auto& d : drops) {
+    auto& ddst = drop_fig.add_series(d.name());
     for (std::size_t i = 0; i < d.size(); ++i) ddst.add(d.x(i), d.y(i));
-    acc.push_back(a);
-    drops.push_back(d);
-    std::cerr << "  [" << p.name << "] done\n";
   }
 
   std::vector<core::ShapeCheck> checks;
@@ -48,7 +41,7 @@ int main() {
     c.description = "complete sharing accepts the most new calls";
     c.passed = true;
     for (std::size_t i = 0; i < acc.size(); ++i)
-      if (policies[i].name != "CS")
+      if (acc[i].name() != "CS")
         c.passed = c.passed && acc[1].y_at(100) >= acc[i].y_at(100) - 2.0;
     checks.push_back(c);
   }

@@ -1,7 +1,7 @@
 // Shared plumbing for the figure-reproduction benches: run the paper's
-// sweep for a set of policies, print the figure as an aligned table, write
-// the CSV next to the binary, and evaluate the paper-vs-measured shape
-// checks.
+// sweep for a set of policies or scenarios, print the figure as an aligned
+// table, write the CSV next to the binary, and evaluate the
+// paper-vs-measured shape checks.
 #pragma once
 
 #include <chrono>
@@ -11,9 +11,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/experiment.h"
 #include "core/paper.h"
 #include "core/report.h"
+#include "core/sweep.h"
 #include "sim/timeseries.h"
 
 namespace facsp::bench {
@@ -28,31 +28,45 @@ inline int replications() {
   return 16;
 }
 
-struct NamedPolicy {
-  std::string name;
-  core::PolicyFactory factory;
-};
+/// Run `spec` — a scenario plus a policy or scenario axis naming the
+/// figure's series — over the paper's x grid (N = 10, 20, ..., 100) at
+/// replications() per cell.
+inline core::ResultTable run_paper_sweep(core::SweepSpec spec) {
+  spec.n_axis(core::paper_n_values());
+  spec.replications = replications();
+  const auto t0 = std::chrono::steady_clock::now();
+  core::ResultTable table = core::SweepRunner(std::move(spec)).run();
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  std::cerr << "  [" << table.rows.size() << " cells] sweep done in " << ms
+            << " ms\n";
+  return table;
+}
 
-/// Run the full paper sweep for every policy and collect the acceptance
-/// series into a figure.
+/// One series of `metric` per value of `axis`, in axis order, each named
+/// after its value.
+inline std::vector<sim::Series> axis_series(
+    const core::ResultTable& table, const core::SweepAxis& axis,
+    sim::SummaryStats core::ResultRow::* metric) {
+  std::vector<sim::Series> out;
+  for (std::size_t i = 0; i < axis.size(); ++i)
+    out.push_back(core::table_series(table, axis.name, axis.label(i), metric));
+  return out;
+}
+
+/// Run `spec` (see run_paper_sweep) and collect the acceptance series of
+/// its first axis into a figure.
 inline sim::Figure run_acceptance_figure(
-    const std::string& title, const core::ScenarioConfig& scenario,
-    const std::vector<NamedPolicy>& policies,
+    const std::string& title, core::SweepSpec spec,
     std::vector<sim::Series>* series_out = nullptr) {
-  const auto sweep = core::SweepConfig::paper_grid(replications());
+  const core::SweepAxis series_axis = spec.axes.front();
   sim::Figure fig(title, "N", "percentage of accepted calls");
-  for (const auto& p : policies) {
-    const auto t0 = std::chrono::steady_clock::now();
-    core::Experiment exp(scenario, p.factory, p.name);
-    const auto series = exp.run(sweep).acceptance_series();
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    std::cerr << "  [" << p.name << "] sweep done in " << ms << " ms\n";
-    auto& dst = fig.add_series(p.name);
-    for (std::size_t i = 0; i < series.size(); ++i)
-      dst.add(series.x(i), series.y(i), series.ci(i).value_or(0.0));
-    if (series_out != nullptr) series_out->push_back(series);
+  for (const sim::Series& s :
+       axis_series(run_paper_sweep(std::move(spec)), series_axis,
+                   &core::ResultRow::acceptance_percent)) {
+    fig.add_series(s.name()) = s;
+    if (series_out != nullptr) series_out->push_back(s);
   }
   return fig;
 }

@@ -12,13 +12,13 @@ int main() {
   using namespace facsp::bench;
 
   std::cout << "=== Fig. 10 reproduction: FACS-P vs FACS ===\n";
-  const auto scenario = core::paper_scenario();
+  core::SweepSpec spec;
+  spec.base = core::paper_scenario();
+  spec.policy_axis({{"FACS-P (proposed)", core::make_facs_p_factory()},
+                    {"FACS (previous)", core::make_facs_factory()}});
   std::vector<sim::Series> series;
   const auto fig = run_acceptance_figure(
-      "Fig. 10 — Performance of proposed FACS-P with FACS", scenario,
-      {{"FACS-P (proposed)", core::make_facs_p_factory()},
-       {"FACS (previous)", core::make_facs_factory()}},
-      &series);
+      "Fig. 10 — Performance of proposed FACS-P with FACS", spec, &series);
 
   const auto& fp = series[0];
   const auto& f = series[1];
@@ -54,17 +54,16 @@ int main() {
 
   // Extended metric backing the paper's claim: on-going-call protection.
   {
-    core::SweepConfig heavy;
-    heavy.n_values = {80};
+    core::SweepSpec heavy = spec;
+    heavy.n_axis({80});
     heavy.replications = replications();
+    const core::ResultTable table = core::SweepRunner(heavy).run();
     const auto drops_fp =
-        core::Experiment(scenario, core::make_facs_p_factory(), "FACS-P")
-            .run(heavy)
-            .dropping_series();
+        core::table_series(table, "policy", "FACS-P (proposed)",
+                           &core::ResultRow::dropping_percent);
     const auto drops_f =
-        core::Experiment(scenario, core::make_facs_factory(), "FACS")
-            .run(heavy)
-            .dropping_series();
+        core::table_series(table, "policy", "FACS (previous)",
+                           &core::ResultRow::dropping_percent);
     core::ShapeCheck c;
     c.description =
         "FACS-P handoff dropping <= FACS at heavy load (on-going QoS)";

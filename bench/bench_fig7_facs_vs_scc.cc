@@ -12,13 +12,13 @@ int main() {
   using namespace facsp::bench;
 
   std::cout << "=== Fig. 7 reproduction: FACS vs SCC ===\n";
-  const auto scenario = core::paper_scenario();
+  core::SweepSpec spec;
+  spec.base = core::paper_scenario();
+  spec.policy_axis({{"FACS", core::make_facs_factory()},
+                    {"SCC", core::make_scc_factory()}});
   std::vector<sim::Series> series;
   const auto fig = run_acceptance_figure(
-      "Fig. 7 — Performance of FACS and SCC", scenario,
-      {{"FACS", core::make_facs_factory()},
-       {"SCC", core::make_scc_factory()}},
-      &series);
+      "Fig. 7 — Performance of FACS and SCC", std::move(spec), &series);
 
   const auto& facs = series[0];
   const auto& scc = series[1];

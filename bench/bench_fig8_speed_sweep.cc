@@ -11,23 +11,16 @@ int main() {
   using namespace facsp::bench;
 
   std::cout << "=== Fig. 8 reproduction: FACS-P, speed as a parameter ===\n";
-  const double speeds[] = {4.0, 10.0, 30.0, 60.0};
-  const auto sweep = core::SweepConfig::paper_grid(replications());
-
-  sim::Figure fig("Fig. 8 — acceptance vs N for different speeds (FACS-P)",
-                  "N", "percentage of accepted calls");
+  std::vector<core::ScenarioChoice> speeds;
+  for (double v : {4.0, 10.0, 30.0, 60.0})
+    speeds.push_back({std::to_string(static_cast<int>(v)) + " km/h",
+                      core::paper_scenario_fixed_speed(v)});
+  core::SweepSpec spec;  // policy: the facs-p fallback
+  spec.scenario_axis(std::move(speeds));
   std::vector<sim::Series> series;
-  for (double v : speeds) {
-    const auto scenario = core::paper_scenario_fixed_speed(v);
-    core::Experiment exp(scenario, core::make_facs_p_factory(),
-                         std::to_string(static_cast<int>(v)) + " km/h");
-    const auto s = exp.run(sweep).acceptance_series();
-    auto& dst = fig.add_series(s.name());
-    for (std::size_t i = 0; i < s.size(); ++i)
-      dst.add(s.x(i), s.y(i), s.ci(i).value_or(0.0));
-    series.push_back(s);
-    std::cerr << "  [" << s.name() << "] done\n";
-  }
+  const auto fig = run_acceptance_figure(
+      "Fig. 8 — acceptance vs N for different speeds (FACS-P)",
+      std::move(spec), &series);
 
   std::vector<core::ShapeCheck> checks;
   for (double probe : {40.0, 70.0, 100.0}) {

@@ -11,23 +11,16 @@ int main() {
   using namespace facsp::bench;
 
   std::cout << "=== Fig. 9 reproduction: FACS-P, angle as a parameter ===\n";
-  const double angles[] = {0.0, 30.0, 50.0, 60.0, 90.0};
-  const auto sweep = core::SweepConfig::paper_grid(replications());
-
-  sim::Figure fig("Fig. 9 — acceptance vs N for different angles (FACS-P)",
-                  "N", "percentage of accepted calls");
+  std::vector<core::ScenarioChoice> angles;
+  for (double a : {0.0, 30.0, 50.0, 60.0, 90.0})
+    angles.push_back({"angle=" + std::to_string(static_cast<int>(a)),
+                      core::paper_scenario_fixed_angle(a)});
+  core::SweepSpec spec;  // policy: the facs-p fallback
+  spec.scenario_axis(std::move(angles));
   std::vector<sim::Series> series;
-  for (double a : angles) {
-    const auto scenario = core::paper_scenario_fixed_angle(a);
-    core::Experiment exp(scenario, core::make_facs_p_factory(),
-                         "angle=" + std::to_string(static_cast<int>(a)));
-    const auto s = exp.run(sweep).acceptance_series();
-    auto& dst = fig.add_series(s.name());
-    for (std::size_t i = 0; i < s.size(); ++i)
-      dst.add(s.x(i), s.y(i), s.ci(i).value_or(0.0));
-    series.push_back(s);
-    std::cerr << "  [" << s.name() << "] done\n";
-  }
+  const auto fig = run_acceptance_figure(
+      "Fig. 9 — acceptance vs N for different angles (FACS-P)",
+      std::move(spec), &series);
 
   std::vector<core::ShapeCheck> checks;
   for (double probe : {40.0, 80.0}) {

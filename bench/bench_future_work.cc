@@ -14,11 +14,13 @@ int main() {
   using namespace facsp::bench;
 
   std::cout << "=== Future work: priority of requesting connections ===\n";
-  const auto scenario = core::paper_scenario();
-  core::SweepConfig sweep = core::SweepConfig::paper_grid(replications());
+  // The priority-blind FACS-P reference is a plain paper-grid sweep.
+  // Per-priority acceptance needs run_single (the sweep aggregates only the
+  // headline metric), so FACS-PR is collected manually on the same grid.
+  const core::SweepSpec spec = core::SweepSpec::paper_grid(replications());
+  const core::ResultTable blind = core::SweepRunner(spec).run();
+  core::Experiment pr(spec.base, core::make_facs_pr_factory(), "FACS-PR");
 
-  // Per-priority acceptance needs run_single (the sweep aggregates only
-  // the headline metric), so collect manually.
   sim::Figure fig("FACS-PR per-priority acceptance vs N", "N",
                   "percentage of accepted calls");
   auto& s_high = fig.add_series("high (FACS-PR)");
@@ -26,21 +28,19 @@ int main() {
   auto& s_low = fig.add_series("low (FACS-PR)");
   auto& s_blind = fig.add_series("any (FACS-P)");
 
-  core::Experiment pr(scenario, core::make_facs_pr_factory(), "FACS-PR");
-  core::Experiment fp(scenario, core::make_facs_p_factory(), "FACS-P");
-
   double overall_gap_sum = 0.0;
-  for (int n : sweep.n_values) {
-    sim::SummaryStats high, norm, low, pr_all, fp_all;
-    for (int rep = 0; rep < sweep.replications; ++rep) {
+  for (const core::ResultRow& row : blind.rows) {
+    const int n = row.n;
+    sim::SummaryStats high, norm, low, pr_all;
+    for (int rep = 0; rep < spec.replications; ++rep) {
       const auto run = pr.run_single(n, rep);
       high.add(run.metrics.acceptance_percent(cellular::UserPriority::kHigh));
       norm.add(
           run.metrics.acceptance_percent(cellular::UserPriority::kNormal));
       low.add(run.metrics.acceptance_percent(cellular::UserPriority::kLow));
       pr_all.add(run.metrics.acceptance_percent());
-      fp_all.add(fp.run_single(n, rep).metrics.acceptance_percent());
     }
+    const sim::SummaryStats& fp_all = row.acceptance_percent;
     s_high.add(n, high.mean(), high.ci_half_width());
     s_norm.add(n, norm.mean(), norm.ci_half_width());
     s_low.add(n, low.mean(), low.ci_half_width());
@@ -75,9 +75,9 @@ int main() {
     core::ShapeCheck c;
     c.description =
         "aggregate acceptance stays close to priority-blind FACS-P";
-    c.passed = overall_gap_sum / sweep.n_values.size() < 8.0;
+    c.passed = overall_gap_sum / blind.rows.size() < 8.0;
     c.details = "mean |FACS-PR - FACS-P| = " +
-                std::to_string(overall_gap_sum / sweep.n_values.size());
+                std::to_string(overall_gap_sum / blind.rows.size());
     checks.push_back(c);
   }
 

@@ -11,8 +11,9 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/experiment.h"
 #include "core/paper.h"
+#include "core/report.h"
+#include "core/sweep.h"
 
 using namespace facsp;
 
@@ -22,34 +23,31 @@ int main(int argc, char** argv) {
   std::cout << "Highway cell vs pedestrian street (FACS-P)\n"
             << "===========================================\n\n";
 
-  struct Population {
-    const char* label;
-    double speed_kmh;
-  };
-  const Population populations[] = {
-      {"pedestrians (4 km/h)", 4.0},
-      {"cyclists (15 km/h)", 15.0},
-      {"city cars (50 km/h)", 50.0},
-      {"highway (100 km/h)", 100.0},
+  const std::vector<core::ScenarioChoice> populations = {
+      {"pedestrians (4 km/h)", core::paper_scenario_fixed_speed(4.0)},
+      {"cyclists (15 km/h)", core::paper_scenario_fixed_speed(15.0)},
+      {"city cars (50 km/h)", core::paper_scenario_fixed_speed(50.0)},
+      {"highway (100 km/h)", core::paper_scenario_fixed_speed(100.0)},
   };
 
-  core::SweepConfig sweep;
-  sweep.n_values = {20, 40, 60, 80, 100};
-  sweep.replications = reps;
+  core::SweepSpec spec;  // policy: the facs-p fallback
+  spec.scenario_axis(populations);
+  spec.n_axis({20, 40, 60, 80, 100});
+  spec.replications = reps;
+  const core::ResultTable table = core::SweepRunner(spec).run();
 
   sim::Figure fig("acceptance by population", "N",
                   "percentage of accepted calls");
   std::printf("%-22s %10s %10s %10s\n", "population", "accept@40",
               "accept@100", "drop%@100");
   for (const auto& pop : populations) {
-    auto scenario = core::paper_scenario_fixed_speed(pop.speed_kmh);
-    core::Experiment exp(scenario, core::make_facs_p_factory(), pop.label);
-    const auto result = exp.run(sweep);
-    const auto acc = result.acceptance_series();
-    const auto drop = result.dropping_series();
-    std::printf("%-22s %9.1f%% %9.1f%% %9.2f%%\n", pop.label, acc.y_at(40),
-                acc.y_at(100), drop.y_at(100));
-    auto& dst = fig.add_series(pop.label);
+    const auto acc = core::table_series(table, "scenario", pop.name,
+                                        &core::ResultRow::acceptance_percent);
+    const auto drop = core::table_series(table, "scenario", pop.name,
+                                         &core::ResultRow::dropping_percent);
+    std::printf("%-22s %9.1f%% %9.1f%% %9.2f%%\n", pop.name.c_str(),
+                acc.y_at(40), acc.y_at(100), drop.y_at(100));
+    auto& dst = fig.add_series(pop.name);
     for (std::size_t i = 0; i < acc.size(); ++i)
       dst.add(acc.x(i), acc.y(i));
   }

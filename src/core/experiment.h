@@ -1,6 +1,6 @@
-// Experiment harness: replicated sweeps over "number of requesting
-// connections" (the x-axis of every figure), aggregated with confidence
-// intervals, for any admission policy.
+// Experiment harness: one simulated (N, replication) cell for any admission
+// policy, the per-cell metrics a sweep reduces, and the canonical policy
+// factories.  Replicated sweeps run through SweepRunner (core/sweep.h).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include "core/session.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
-#include "sim/timeseries.h"
 
 namespace facsp::core {
 
@@ -28,8 +27,8 @@ namespace facsp::core {
 /// replication's network (SCC needs the geometry) and a per-replication
 /// RNG factory (randomised policies draw their own streams).
 ///
-/// Thread-safety contract: ParallelSweepRunner invokes the factory from
-/// worker threads, once per (N, replication) cell, possibly concurrently.
+/// Thread-safety contract: SweepRunner invokes the factory from worker
+/// threads, once per (N, replication) cell, possibly concurrently.
 /// Factories must therefore be safe to call concurrently: capture
 /// configuration by value and only build fresh policy objects (as every
 /// make_*_factory() below does); never close over mutable shared state.
@@ -37,35 +36,10 @@ namespace facsp::core {
 using PolicyFactory = std::function<std::unique_ptr<cac::AdmissionPolicy>(
     const cellular::CellularNetwork& network, sim::RngFactory& rng)>;
 
-/// Sweep parameters shared by the figure benches.
-struct SweepConfig {
-  std::vector<int> n_values;  ///< x axis: number of requesting connections
-  int replications = 20;
-  double ci_level = 0.95;
-  /// Worker threads for ParallelSweepRunner (0 = hardware concurrency).
-  /// A pure throughput knob: results are bit-identical for every value.
-  /// The serial Experiment::run ignores it.
-  int threads = 0;
-
-  /// The paper's x grid: 10, 20, ..., 100.
-  static SweepConfig paper_grid(int replications = 20);
-};
-
-/// Aggregate of one (policy, N) cell of a sweep.
-struct SweepPoint {
-  int n = 0;
-  sim::SummaryStats acceptance_percent;
-  sim::SummaryStats dropping_percent;
-  sim::SummaryStats utilization_percent;
-  sim::SummaryStats completion_percent;
-};
-
 /// Scalar metrics of one (n, replication) run, in the units the sweep
 /// aggregates (percentages).  The single definition of "which numbers a
-/// sweep reduces": every path extracts cells with from_run() and
-/// SweepRunner::run (core/sweep.h) — which Experiment::run and
-/// ParallelSweepRunner delegate to — performs the one reduction, so the
-/// paths cannot drift apart.
+/// sweep reduces": SweepRunner::run (core/sweep.h) extracts every cell with
+/// from_run() and performs the one reduction.
 struct CellMetrics {
   int n = 0;
   std::uint64_t replication = 0;
@@ -78,38 +52,20 @@ struct CellMetrics {
                               const RunResult& run);
 };
 
-/// Result of a full sweep for one policy.
-struct SweepResult {
-  std::string policy_name;
-  std::vector<SweepPoint> points;
-
-  /// Acceptance-percentage series (mean +/- CI) for figure rendering.
-  sim::Series acceptance_series(double ci_level = 0.95) const;
-  /// Handoff-dropping series (extended metric).
-  sim::Series dropping_series(double ci_level = 0.95) const;
-  /// Completion-ratio series: % of admitted calls not dropped mid-call.
-  sim::Series completion_series(double ci_level = 0.95) const;
-};
-
-/// Runs replicated sweeps.  Policies are compared under common random
-/// numbers: replication r uses the same workload for every policy.
+/// One resolved (scenario, policy) pair.  Policies are compared under common
+/// random numbers: replication r uses the same workload for every policy.
 class Experiment {
  public:
   Experiment(ScenarioConfig scenario, PolicyFactory factory,
              std::string policy_label);
 
-  /// Run the full sweep.
-  SweepResult run(const SweepConfig& sweep) const;
-
-  /// Run a single (N, replication) cell — used by tests, examples and the
-  /// parallel sweep runner.  Every piece of per-run state (driver, network,
-  /// RNG streams, policy, inference scratch) is built locally, so concurrent
+  /// Run a single (N, replication) cell — used by tests, examples and
+  /// SweepRunner.  Every piece of per-run state (driver, network, RNG
+  /// streams, policy, inference scratch) is built locally, so concurrent
   /// calls from different threads are safe given the PolicyFactory contract
   /// above.
   RunResult run_single(int n, std::uint64_t replication) const;
 
-  const ScenarioConfig& scenario() const noexcept { return scenario_; }
-  const PolicyFactory& factory() const noexcept { return factory_; }
   const std::string& policy_label() const noexcept { return label_; }
 
  private:

@@ -2,6 +2,12 @@
 
 namespace facsp::core {
 
+std::vector<int> paper_n_values() {
+  std::vector<int> ns;
+  for (int n = 10; n <= 100; n += 10) ns.push_back(n);
+  return ns;
+}
+
 ScenarioConfig paper_scenario(std::uint64_t seed) {
   ScenarioConfig s;
   s.seed = seed;

@@ -4,11 +4,16 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/scenario.h"
 
 namespace facsp::core {
+
+/// The paper's x grid, the number of requesting connections of every
+/// figure: N = 10, 20, ..., 100.
+std::vector<int> paper_n_values();
 
 /// The baseline Sec. 4 scenario (random speed, random angle).
 ScenarioConfig paper_scenario(std::uint64_t seed = 42);

@@ -1,5 +1,6 @@
 #include "core/report.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -124,6 +125,23 @@ void write_csv(const sim::Figure& figure, const std::string& path) {
   if (!os) throw Error("cannot open '" + path + "' for writing");
   figure.print_csv(os);
   if (!os) throw Error("failed writing '" + path + "'");
+}
+
+sim::Series table_series(const ResultTable& table, const std::string& axis,
+                         const std::string& label,
+                         sim::SummaryStats ResultRow::* metric) {
+  const auto it = std::find(table.axes.begin(), table.axes.end(), axis);
+  FACSP_EXPECTS_MSG(it != table.axes.end(),
+                    "table_series: no axis '" << axis << "'");
+  const auto a = static_cast<std::size_t>(it - table.axes.begin());
+  sim::Series s(label);
+  for (const ResultRow& row : table.rows) {
+    FACSP_EXPECTS(row.coords.size() == table.axes.size());
+    if (row.coords[a] != label) continue;
+    const sim::SummaryStats& st = row.*metric;
+    s.add(row.n, st.mean(), st.ci_half_width(table.ci_level));
+  }
+  return s;
 }
 
 void write_result_csv(const ResultTable& table, std::ostream& os) {

@@ -72,6 +72,14 @@ void write_result_json(const ResultTable& table, std::ostream& os);
 void write_result_json(const ResultTable& table, const std::string& path);
 std::string result_json_string(const ResultTable& table);
 
+/// One series of a sweep: the rows whose coordinate on `axis` is `label`, in
+/// row order, as x = row.n, y = mean of `metric` and ci = its half-width at
+/// table.ci_level.  The series is named `label`.  Throws
+/// facsp::ContractViolation when the table has no axis named `axis`.
+sim::Series table_series(const ResultTable& table, const std::string& axis,
+                         const std::string& label,
+                         sim::SummaryStats ResultRow::* metric);
+
 /// Minimal reader for the CSV files write_result_csv produces (one header
 /// line, comma-separated, no quoting — the writer rejects values containing
 /// commas or newlines, so files are never ragged).  Throws

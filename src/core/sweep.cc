@@ -118,9 +118,7 @@ SweepSpec SweepSpec::paper_grid(int replications) {
   SweepSpec spec;
   spec.base = paper_scenario();
   spec.policy_axis({"facs-p"});
-  std::vector<int> ns;
-  for (int n = 10; n <= 100; n += 10) ns.push_back(n);
-  spec.n_axis(std::move(ns));
+  spec.n_axis(paper_n_values());
   spec.replications = replications;
   return spec;
 }
@@ -140,6 +138,9 @@ void SweepSpec::validate() const {
   if (replications < 1)
     throw ConfigError("sweep: replications must be >= 1");
   if (threads < 0) throw ConfigError("sweep: threads must be >= 0");
+  // Negated so a NaN level is rejected too.
+  if (!(ci_level > 0.0 && ci_level < 1.0))
+    throw ConfigError("sweep: ci_level must be in (0, 1)");
   if (fallback_n < 1) throw ConfigError("sweep: fallback_n must be >= 1");
   std::set<std::string> names;
   int policy_axes = 0, scenario_axes = 0, n_axes = 0;
@@ -298,35 +299,6 @@ ResultTable SweepRunner::run(std::vector<CellMetrics>* cells) const {
   }
   if (cells != nullptr) *cells = std::move(grid);
   return table;
-}
-
-SweepResult run_legacy_sweep(const ScenarioConfig& scenario,
-                             const PolicyFactory& factory,
-                             const std::string& label,
-                             const SweepConfig& sweep, int threads,
-                             std::vector<CellMetrics>* cells) {
-  SweepSpec spec;
-  spec.base = scenario;
-  spec.policy_axis({PolicyChoice{label, factory}});
-  spec.n_axis(sweep.n_values);
-  spec.replications = sweep.replications;
-  spec.ci_level = sweep.ci_level;
-  spec.threads = threads;
-  const ResultTable table = SweepRunner(std::move(spec)).run(cells);
-
-  SweepResult out;
-  out.policy_name = label;
-  out.points.reserve(table.rows.size());
-  for (const ResultRow& row : table.rows) {
-    SweepPoint point;
-    point.n = row.n;
-    point.acceptance_percent = row.acceptance_percent;
-    point.dropping_percent = row.dropping_percent;
-    point.utilization_percent = row.utilization_percent;
-    point.completion_percent = row.completion_percent;
-    out.points.push_back(point);
-  }
-  return out;
 }
 
 }  // namespace facsp::core

@@ -22,9 +22,8 @@
 // Determinism: cells are seeded via hash_seed(scenario.seed, component,
 // replication), so a cell's result depends only on (scenario, policy, n,
 // replication) — never on which worker ran it or when.  SweepRunner::run is
-// bit-identical for every thread count, and the paper grid expressed as a
-// SweepSpec reproduces the serial Experiment::run bit for bit
-// (ctest-enforced in tests/core/test_sweep.cc).
+// bit-identical for every thread count and to a nested serial loop over
+// Experiment::run_single (ctest-enforced in tests/core/test_sweep.cc).
 //
 // See docs/experiments.md for worked examples.
 #pragma once
@@ -126,7 +125,8 @@ struct SweepSpec {
   /// grid_size() * replications: the number of simulation runs.
   std::size_t cell_count() const noexcept;
 
-  /// Structural checks: non-empty axes, unique axis names, at most one
+  /// Structural checks: replications >= 1, threads >= 0, ci_level in
+  /// (0, 1), non-empty axes, unique axis names, at most one
   /// policy/scenario/N axis, no param axis listed before a scenario axis
   /// (the scenario choice would silently overwrite it).  Throws
   /// facsp::ConfigError.  Per-cell scenario validation happens at
@@ -172,8 +172,7 @@ struct ResultTable {
 /// run() fans the (grid cell, replication) matrix across a sim::ThreadPool
 /// and reduces serially in row-major order — the same SummaryStats::add
 /// sequence a nested serial loop would perform, hence bit-identical results
-/// for every thread count.  Subsumes Experiment::run and
-/// core::ParallelSweepRunner, which are now thin wrappers over this.
+/// for every thread count.  The one way to run a sweep.
 class SweepRunner {
  public:
   explicit SweepRunner(SweepSpec spec);
@@ -199,16 +198,5 @@ class SweepRunner {
   SweepSpec spec_;
   std::vector<ResolvedCell> rows_;
 };
-
-/// Compatibility shim behind Experiment::run and ParallelSweepRunner::run:
-/// runs the legacy (N, replication) grid through SweepRunner and repackages
-/// the ResultTable as a SweepResult.  `threads` overrides the SweepConfig
-/// knob (the serial Experiment::run passes 1).  When `cells` is non-null it
-/// receives per-cell metrics in (n-major, replication) order.
-SweepResult run_legacy_sweep(const ScenarioConfig& scenario,
-                             const PolicyFactory& factory,
-                             const std::string& label,
-                             const SweepConfig& sweep, int threads,
-                             std::vector<CellMetrics>* cells = nullptr);
 
 }  // namespace facsp::core

@@ -4,9 +4,10 @@
 // Layout: every per-decision quantity is lane-major — kLanes consecutive
 // doubles per input / grade slot / output term, one per decision — so the
 // innermost loops step across decisions, not terms.  The generic kernels are
-// flat branch-free loops the compiler auto-vectorizes; with FACSP_SIMD the
-// same algorithms are hand-written in AVX2 (runtime-dispatched, no global
-// -mavx2) or NEON intrinsics.
+// flat branch-free loops the compiler auto-vectorizes; with FACSP_SIMD on
+// x86-64 the same algorithms are hand-written in AVX2 intrinsics
+// (runtime-dispatched, no global -mavx2).  Every other target runs the
+// generic kernels.
 //
 // Bit-identity contract (load-bearing for the PR 2-5 determinism guarantees;
 // asserted by tests/fuzzy/test_batch_inference.cc): per lane, every kernel
@@ -33,8 +34,6 @@
 
 #if defined(FACSP_SIMD_ENABLED) && defined(__x86_64__)
 #include <immintrin.h>
-#elif defined(FACSP_SIMD_ENABLED) && defined(__aarch64__)
-#include <arm_neon.h>
 #endif
 
 namespace facsp::fuzzy {
@@ -45,8 +44,6 @@ bool lane_simd_available() noexcept {
 #if defined(FACSP_SIMD_ENABLED) && defined(__x86_64__)
   static const bool avx2 = __builtin_cpu_supports("avx2");
   return avx2;
-#elif defined(FACSP_SIMD_ENABLED) && defined(__aarch64__)
-  return true;  // NEON is baseline on AArch64
 #else
   return false;
 #endif
@@ -240,88 +237,6 @@ __attribute__((target("avx2"))) void InferenceEngine::infer_lanes_simd(
     }
     _mm256_storeu_pd(out, a0);
     _mm256_storeu_pd(out + 4, a1);
-  }
-}
-
-#elif defined(FACSP_SIMD_ENABLED) && defined(__aarch64__)
-
-// NEON lanes: kLanes == 8 doubles as four float64x2_t.  FMIN/FMAX propagate
-// NaNs where SSE keeps the second operand, but a NaN input lane is forced to
-// +0.0 by the final ordered-compare blend either way, so results stay
-// bit-identical to the scalar path (non-NaN lanes see plain min/max; the
-// only ±0 ties arise between equal +0 values).
-void InferenceEngine::infer_lanes_simd(InferenceScratch& scratch) const {
-  constexpr std::size_t W = kLanes;
-  const double* const in = scratch.lane_inputs.data();
-  double* const grades = scratch.lane_grades.data();
-  double* const acts = scratch.lane_activations.data();
-  const float64x2_t ones = vdupq_n_f64(1.0);
-  const float64x2_t zeros = vdupq_n_f64(0.0);
-
-  std::size_t s = 0;
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    const double* const x = in + i * W;
-    for (std::size_t t = 0; t < inputs_[i].term_count(); ++t, ++s) {
-      const LaneTerm& g = lane_terms_[s];
-      double* const out = grades + s * W;
-      if (!g.fast) {
-        for (std::size_t l = 0; l < W; ++l)
-          out[l] = g.mf->grade(clamp(x[l], g.lo, g.hi));
-        continue;
-      }
-      const float64x2_t lov = vdupq_n_f64(g.lo), hiv = vdupq_n_f64(g.hi);
-      const float64x2_t av = vdupq_n_f64(g.a), bav = vdupq_n_f64(g.ba);
-      const float64x2_t dv = vdupq_n_f64(g.d), dcv = vdupq_n_f64(g.dc);
-      for (int h = 0; h < 4; ++h) {
-        float64x2_t cx = vld1q_f64(x + 2 * h);
-        cx = vminq_f64(vmaxq_f64(lov, cx), hiv);
-        const float64x2_t rise =
-            g.left_open ? ones : vdivq_f64(vsubq_f64(cx, av), bav);
-        const float64x2_t fall =
-            g.right_open ? ones : vdivq_f64(vsubq_f64(dv, cx), dcv);
-        float64x2_t v = vminq_f64(rise, fall);
-        v = vminq_f64(v, ones);
-        v = vmaxq_f64(v, zeros);
-        // Zero NaN-input lanes: vceqq is false for NaN, so the bitwise and
-        // forces +0.0 there.
-        v = vreinterpretq_f64_u64(
-            vandq_u64(vreinterpretq_u64_f64(v), vceqq_f64(cx, cx)));
-        vst1q_f64(out + 2 * h, v);
-      }
-    }
-  }
-
-  double st[W];
-  const std::uint32_t* const slots = rule_slots_.data();
-  for (const FlatRule& rule : flat_rules_) {
-    for (std::size_t l = 0; l < W; ++l) st[l] = 1.0;
-    for (int h = 0; h < 4; ++h) {
-      float64x2_t sv = vld1q_f64(st + 2 * h);
-      if (options_.t_norm == TNorm::kMinimum) {
-        for (std::uint32_t i = 0; i < rule.count; ++i)
-          sv = vminq_f64(vld1q_f64(grades + slots[rule.first + i] * W + 2 * h),
-                         sv);
-      } else {
-        for (std::uint32_t i = 0; i < rule.count; ++i)
-          sv = vmulq_f64(sv,
-                         vld1q_f64(grades + slots[rule.first + i] * W + 2 * h));
-      }
-      sv = vmulq_f64(sv, vdupq_n_f64(rule.weight));
-      double* const out = acts + rule.consequent * W + 2 * h;
-      float64x2_t acc = vld1q_f64(out);
-      switch (options_.s_norm) {
-        case SNorm::kMaximum:
-          acc = vmaxq_f64(acc, sv);
-          break;
-        case SNorm::kProbabilisticSum:
-          acc = vsubq_f64(vaddq_f64(acc, sv), vmulq_f64(acc, sv));
-          break;
-        case SNorm::kBoundedSum:
-          acc = vminq_f64(vaddq_f64(acc, sv), ones);
-          break;
-      }
-      vst1q_f64(out, acc);
-    }
   }
 }
 

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <set>
 
-#include "common/error.h"
 #include "core/paper.h"
 
 namespace facsp::core {
@@ -19,45 +18,10 @@ ScenarioConfig quick_scenario() {
   return s;
 }
 
-TEST(SweepConfig, PaperGridIs10To100) {
-  const auto sweep = SweepConfig::paper_grid(5);
-  ASSERT_EQ(sweep.n_values.size(), 10u);
-  EXPECT_EQ(sweep.n_values.front(), 10);
-  EXPECT_EQ(sweep.n_values.back(), 100);
-  EXPECT_EQ(sweep.replications, 5);
-}
-
 TEST(Experiment, RunSingleProducesMetrics) {
   Experiment exp(quick_scenario(), make_complete_sharing_factory(), "CS");
   const RunResult r = exp.run_single(20, 0);
   EXPECT_EQ(r.metrics.offered_new(), 20u);
-}
-
-TEST(Experiment, SweepAggregatesAllPoints) {
-  SweepConfig sweep;
-  sweep.n_values = {5, 15};
-  sweep.replications = 4;
-  Experiment exp(quick_scenario(), make_complete_sharing_factory(), "CS");
-  const SweepResult res = exp.run(sweep);
-  EXPECT_EQ(res.policy_name, "CS");
-  ASSERT_EQ(res.points.size(), 2u);
-  EXPECT_EQ(res.points[0].n, 5);
-  EXPECT_EQ(res.points[1].n, 15);
-  EXPECT_EQ(res.points[0].acceptance_percent.count(), 4u);
-  // Acceptance is a percentage.
-  EXPECT_GE(res.points[0].acceptance_percent.mean(), 0.0);
-  EXPECT_LE(res.points[0].acceptance_percent.mean(), 100.0);
-}
-
-TEST(Experiment, SeriesCarriesCi) {
-  SweepConfig sweep;
-  sweep.n_values = {10};
-  sweep.replications = 6;
-  Experiment exp(quick_scenario(), make_complete_sharing_factory(), "CS");
-  const auto series = exp.run(sweep).acceptance_series(0.95);
-  ASSERT_EQ(series.size(), 1u);
-  EXPECT_DOUBLE_EQ(series.x(0), 10.0);
-  EXPECT_TRUE(series.ci(0).has_value());
 }
 
 TEST(Experiment, CommonRandomNumbersAcrossPolicies) {
@@ -90,16 +54,6 @@ TEST(Experiment, AllCanonicalFactoriesProduceWorkingPolicies) {
     EXPECT_EQ(r.metrics.offered_new(), 15u) << name;
     EXPECT_LE(r.metrics.accepted_new(), 15u) << name;
   }
-}
-
-TEST(Experiment, InvalidSweepRejected) {
-  Experiment exp(quick_scenario(), make_complete_sharing_factory(), "CS");
-  SweepConfig empty;
-  EXPECT_THROW(exp.run(empty), ContractViolation);
-  SweepConfig zero_reps;
-  zero_reps.n_values = {10};
-  zero_reps.replications = 0;
-  EXPECT_THROW(exp.run(zero_reps), ContractViolation);
 }
 
 TEST(Experiment, DriverAndPolicySeedComponentsNeverAlias) {

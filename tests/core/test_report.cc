@@ -200,6 +200,40 @@ TEST(ResultCsv, WriterRejectsCoordsThatWouldShiftColumns) {
   EXPECT_THROW(result_csv_string(bad_axis), Error);
 }
 
+TEST(TableSeries, CarriesXYAndCiOfTheLabelledRowsInRowOrder) {
+  ResultTable t = small_table();
+  ResultRow c = t.rows[0];
+  c.coords = {"facs-p", "80"};
+  c.n = 80;
+  c.acceptance_percent.add(70.0);
+  t.rows.push_back(c);
+  t.ci_level = 0.9;  // the series must use the table's level
+  const sim::Series s =
+      table_series(t, "policy", "facs-p", &ResultRow::acceptance_percent);
+  EXPECT_EQ(s.name(), "facs-p");
+  ASSERT_EQ(s.size(), 2u);
+  const ResultRow* rows[] = {&t.rows[0], &t.rows[2]};
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(s.x(i), rows[i]->n);
+    EXPECT_EQ(s.y(i), rows[i]->acceptance_percent.mean());
+    ASSERT_TRUE(s.ci(i).has_value());
+    EXPECT_EQ(*s.ci(i), rows[i]->acceptance_percent.ci_half_width(0.9));
+  }
+  const sim::Series gc =
+      table_series(t, "policy", "gc", &ResultRow::utilization_percent);
+  ASSERT_EQ(gc.size(), 1u);
+  EXPECT_EQ(gc.y(0), t.rows[1].utilization_percent.mean());
+  EXPECT_EQ(
+      table_series(t, "policy", "cs", &ResultRow::acceptance_percent).size(),
+      0u);
+}
+
+TEST(TableSeries, UnknownAxisIsAContractViolation) {
+  EXPECT_THROW(table_series(small_table(), "scenario", "facs-p",
+                            &ResultRow::acceptance_percent),
+               ContractViolation);
+}
+
 TEST(ResultJson, ControlCharactersAreEscaped) {
   ResultTable table = small_table();
   table.rows[0].coords[0] = std::string("a\rb\x01");

@@ -1,13 +1,17 @@
 // The declarative sweep layer (core/sweep.h): spec validation, grid
 // resolution, and — most importantly — the determinism guarantees:
 //
-//   * the old paper grid expressed as a SweepSpec reproduces the PR 3
-//     golden per-cell metrics bit-identically at threads {1, 2, 8};
-//   * a multi-axis policy x scenario x N sweep serialises byte-for-byte
-//     identically for serial and parallel execution.
+//   * the paper grid as a SweepSpec reproduces the captured golden
+//     per-cell metrics, and a nested serial run_single loop,
+//     bit-identically at threads {1, 2, 8};
+//   * multi-axis sweeps (policy x scenario x N, and every registry policy
+//     on the catalog matrix) serialise byte-for-byte identically for
+//     serial and parallel execution.
 #include "core/sweep.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "common/error.h"
 #include "core/paper.h"
@@ -38,11 +42,46 @@ TEST(SweepSpec, GridSizeIsAxisProductTimesReplications) {
   EXPECT_NO_THROW(spec.validate());
 }
 
+TEST(SweepSpec, PaperGridIs10To100) {
+  const SweepSpec spec = SweepSpec::paper_grid(5);
+  ASSERT_EQ(spec.axes.size(), 2u);
+  EXPECT_EQ(spec.axes[0].name, "policy");
+  EXPECT_EQ(spec.axes[0].label(0), "facs-p");
+  const std::vector<int>& ns = spec.axes[1].n_values;
+  ASSERT_EQ(ns.size(), 10u);
+  EXPECT_EQ(ns.front(), 10);
+  EXPECT_EQ(ns.back(), 100);
+  EXPECT_EQ(ns, paper_n_values());
+  EXPECT_EQ(spec.replications, 5);
+}
+
 TEST(SweepSpec, ValidateRejectsStructuralErrors) {
   {
     SweepSpec spec;
     spec.replications = 0;
     EXPECT_THROW(spec.validate(), ConfigError);
+  }
+  {
+    SweepSpec spec;
+    spec.threads = -2;
+    EXPECT_THROW(spec.validate(), ConfigError);
+  }
+  {
+    SweepSpec spec;
+    spec.n_axis({});  // empty N axis
+    EXPECT_THROW(spec.validate(), ConfigError);
+  }
+  for (const double level :
+       {1.5, 1.0, 0.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    // A bad CI level must fail before any cell simulates, not when the
+    // table is later written.
+    SCOPED_TRACE("ci_level=" + std::to_string(level));
+    SweepSpec spec;
+    spec.ci_level = level;
+    spec.replications = 2;
+    spec.n_axis({10});
+    EXPECT_THROW(spec.validate(), ConfigError);
+    EXPECT_THROW(SweepRunner{spec}, ConfigError);
   }
   {
     SweepSpec spec;
@@ -186,34 +225,52 @@ TEST(SweepRunner, PaperGridSpecReproducesGoldenCellsAtEveryThreadCount) {
   }
 }
 
-TEST(SweepRunner, PaperGridSpecMatchesExperimentRunBitIdentically) {
-  // The historical serial path vs the same grid expressed declaratively:
-  // every aggregate must be bit-equal (EXPECT_EQ on doubles, no tolerance).
-  const SweepResult serial = Experiment(paper_scenario(), make_facs_p_factory(),
-                                        "facs-p")
-                                 .run(SweepConfig::paper_grid(3));
+void expect_bit_identical(const sim::SummaryStats& a,
+                          const sim::SummaryStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.ci_half_width(0.95), b.ci_half_width(0.95));
+}
+
+TEST(SweepRunner, PaperGridSpecMatchesNestedRunSingleLoop) {
+  // Oracle independent of SweepRunner: a nested serial loop over
+  // Experiment::run_single that reduces in (n, replication) order.  Every
+  // aggregate must be bit-equal (EXPECT_EQ on doubles, no tolerance).
+  constexpr std::uint64_t kReps = 3;
+  const Experiment exp(paper_scenario(), make_facs_p_factory(), "facs-p");
+  std::vector<ResultRow> oracle;
+  for (const int n : paper_n_values()) {
+    ResultRow row;
+    row.n = n;
+    for (std::uint64_t r = 0; r < kReps; ++r) {
+      const RunResult run = exp.run_single(n, r);
+      const double acceptance = run.metrics.acceptance_percent();
+      row.acceptance_percent.add(acceptance);
+      row.blocking_percent.add(100.0 - acceptance);
+      row.dropping_percent.add(100.0 * run.metrics.dropping_probability());
+      row.utilization_percent.add(100.0 * run.center_utilization);
+      row.completion_percent.add(100.0 * run.metrics.completion_ratio());
+    }
+    oracle.push_back(row);
+  }
   for (const int threads : {1, 2, 8}) {
-    SweepSpec spec = SweepSpec::paper_grid(3);
+    SweepSpec spec = SweepSpec::paper_grid(static_cast<int>(kReps));
     spec.threads = threads;
     const ResultTable table = SweepRunner(spec).run();
-    ASSERT_EQ(table.rows.size(), serial.points.size());
+    ASSERT_EQ(table.rows.size(), oracle.size());
     for (std::size_t i = 0; i < table.rows.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " n=" + std::to_string(serial.points[i].n));
+                   " n=" + std::to_string(oracle[i].n));
       const ResultRow& row = table.rows[i];
-      const SweepPoint& point = serial.points[i];
-      EXPECT_EQ(row.n, point.n);
-      EXPECT_EQ(row.acceptance_percent.mean(),
-                point.acceptance_percent.mean());
-      EXPECT_EQ(row.acceptance_percent.variance(),
-                point.acceptance_percent.variance());
-      EXPECT_EQ(row.acceptance_percent.ci_half_width(0.95),
-                point.acceptance_percent.ci_half_width(0.95));
-      EXPECT_EQ(row.dropping_percent.mean(), point.dropping_percent.mean());
-      EXPECT_EQ(row.utilization_percent.mean(),
-                point.utilization_percent.mean());
-      EXPECT_EQ(row.completion_percent.mean(),
-                point.completion_percent.mean());
+      EXPECT_EQ(row.n, oracle[i].n);
+      for (const auto metric :
+           {&ResultRow::acceptance_percent, &ResultRow::blocking_percent,
+            &ResultRow::dropping_percent, &ResultRow::utilization_percent,
+            &ResultRow::completion_percent})
+        expect_bit_identical(row.*metric, oracle[i].*metric);
     }
   }
 }
@@ -242,6 +299,59 @@ TEST(SweepRunner, MultiAxisParallelVsSerialByteForByte) {
   for (const int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const ResultTable parallel = SweepRunner(multi_axis_spec(threads)).run();
+    EXPECT_EQ(result_csv_string(parallel), serial_csv);
+    EXPECT_EQ(result_json_string(parallel), serial_json);
+  }
+}
+
+TEST(SweepRunner, RepeatedRunsOfOneRunnerAgree) {
+  const SweepRunner runner(multi_axis_spec(8));
+  const ResultTable a = runner.run();
+  const ResultTable b = runner.run();
+  EXPECT_EQ(result_csv_string(a), result_csv_string(b));
+  EXPECT_EQ(result_json_string(a), result_json_string(b));
+}
+
+// Catalog-scenario matrix: thread invariance must hold for every workload
+// the catalog can produce and every registry policy — FACS-P's batched
+// fuzzy path, FGC's per-cell policy-RNG stream, SCC's geometry.  Each
+// scenario is shrunk (shorter holding) so the matrix stays ctest-cheap; the
+// workload *shape* (arrival process, spatial map) is untouched.
+SweepSpec catalog_matrix_spec(const char* scenario, int threads) {
+  SweepSpec spec;
+  spec.base = workload::catalog_scenario(scenario);
+  spec.base.traffic.mean_holding_s = 120.0;
+  spec.policy_axis(policy_names());
+  spec.n_axis({5, 12, 20});
+  spec.replications = 4;
+  spec.threads = threads;
+  return spec;
+}
+
+class SweepRunnerCatalogMatrix : public ::testing::TestWithParam<const char*> {
+};
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, SweepRunnerCatalogMatrix,
+                         ::testing::Values("bursty-onoff", "hotspot-ring2",
+                                           "flash-crowd", "mix-shift"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name)
+                             if (c == '-') c = '_';
+                           return name;
+                         });
+
+TEST_P(SweepRunnerCatalogMatrix, EveryPolicyByteIdenticalAtThreads28) {
+  const ResultTable serial =
+      SweepRunner(catalog_matrix_spec(GetParam(), 1)).run();
+  ASSERT_EQ(serial.rows.size(), policy_names().size() * 3u);
+  const std::string serial_csv = result_csv_string(serial);
+  const std::string serial_json = result_json_string(serial);
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE(std::string(GetParam()) +
+                 " threads=" + std::to_string(threads));
+    const ResultTable parallel =
+        SweepRunner(catalog_matrix_spec(GetParam(), threads)).run();
     EXPECT_EQ(result_csv_string(parallel), serial_csv);
     EXPECT_EQ(result_json_string(parallel), serial_json);
   }

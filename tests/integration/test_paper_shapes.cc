@@ -3,38 +3,41 @@
 // assert the *orderings* hold so regressions are caught by ctest.
 #include <gtest/gtest.h>
 
-#include "core/experiment.h"
 #include "core/paper.h"
 #include "core/report.h"
+#include "core/sweep.h"
 
 namespace facsp::core {
 namespace {
 
 constexpr int kReps = 6;  // enough for orderings, cheap enough for ctest
 
-SweepConfig coarse_sweep() {
-  SweepConfig s;
-  s.n_values = {10, 25, 50, 75, 100};
-  s.replications = kReps;
-  return s;
+/// Runs `spec` (a scenario plus a policy or scenario axis) over `ns`.
+ResultTable run_sweep(SweepSpec spec,
+                      std::vector<int> ns = {10, 25, 50, 75, 100},
+                      int replications = kReps) {
+  spec.n_axis(std::move(ns));
+  spec.replications = replications;
+  return SweepRunner(std::move(spec)).run();
 }
 
-sim::Series run_policy(const ScenarioConfig& scen, PolicyFactory factory,
-                       const std::string& name,
-                       const SweepConfig& sweep = coarse_sweep()) {
-  return Experiment(scen, std::move(factory), name)
-      .run(sweep)
-      .acceptance_series();
+/// A paper-scenario spec with one policy axis over registry names.
+SweepSpec policies_spec(std::initializer_list<const char*> names) {
+  SweepSpec spec;
+  spec.base = paper_scenario();
+  spec.policy_axis(names);
+  return spec;
+}
+
+sim::Series acceptance(const ResultTable& table, const std::string& axis,
+                       const std::string& label) {
+  return table_series(table, axis, label, &ResultRow::acceptance_percent);
 }
 
 TEST(PaperShapes, AcceptanceDeclinesWithOfferedLoad) {
-  const auto scen = paper_scenario();
-  for (auto& [name, factory] :
-       std::vector<std::pair<std::string, PolicyFactory>>{
-           {"FACS-P", make_facs_p_factory()},
-           {"FACS", make_facs_factory()},
-           {"SCC", make_scc_factory()}}) {
-    const auto series = run_policy(scen, factory, name);
+  const ResultTable table = run_sweep(policies_spec({"facs-p", "facs", "scc"}));
+  for (const char* name : {"facs-p", "facs", "scc"}) {
+    const auto series = acceptance(table, "policy", name);
     EXPECT_TRUE(is_non_increasing(series, 6.0)) << name;
     // Near-full acceptance at the lightest load.  A point threshold at low
     // replication counts is seed-fragile (SCC's true mean sits near 85%),
@@ -48,9 +51,9 @@ TEST(PaperShapes, AcceptanceDeclinesWithOfferedLoad) {
 }
 
 TEST(PaperShapes, Fig10FacsPAboveFacsAtLowLoadBelowAtHigh) {
-  const auto scen = paper_scenario();
-  const auto fp = run_policy(scen, make_facs_p_factory(), "FACS-P");
-  const auto f = run_policy(scen, make_facs_factory(), "FACS");
+  const ResultTable table = run_sweep(policies_spec({"facs-p", "facs"}));
+  const auto fp = acceptance(table, "policy", "facs-p");
+  const auto f = acceptance(table, "policy", "facs");
   // Low-N: proposed at least matches the previous system.
   EXPECT_GE(fp.y_at(10), f.y_at(10) - 2.0);
   // High-N: the priority mechanism costs new-call acceptance.
@@ -59,9 +62,9 @@ TEST(PaperShapes, Fig10FacsPAboveFacsAtLowLoadBelowAtHigh) {
 }
 
 TEST(PaperShapes, Fig7SccFlatterThanFacsAndAboveAtHighLoad) {
-  const auto scen = paper_scenario();
-  const auto f = run_policy(scen, make_facs_factory(), "FACS");
-  const auto scc = run_policy(scen, make_scc_factory(), "SCC");
+  const ResultTable table = run_sweep(policies_spec({"facs", "scc"}));
+  const auto f = acceptance(table, "policy", "facs");
+  const auto scc = acceptance(table, "policy", "scc");
   // SCC's over-reservation makes its curve flat: smaller total drop.
   const double drop_f = f.y_at(10) - f.y_at(100);
   const double drop_scc = scc.y_at(10) - scc.y_at(100);
@@ -73,47 +76,41 @@ TEST(PaperShapes, Fig7SccFlatterThanFacsAndAboveAtHighLoad) {
 }
 
 TEST(PaperShapes, Fig8HigherSpeedHigherAcceptance) {
-  SweepConfig sweep;
-  sweep.n_values = {60};
-  sweep.replications = 10;
-  std::vector<double> acceptance;
-  for (double v : {4.0, 30.0, 60.0}) {
-    const auto scen = paper_scenario_fixed_speed(v);
-    acceptance.push_back(
-        run_policy(scen, make_facs_p_factory(), "FACS-P", sweep).y_at(60));
-  }
-  EXPECT_LT(acceptance[0], acceptance[1] + 2.0);
-  EXPECT_LT(acceptance[1], acceptance[2] + 2.0);
-  EXPECT_GT(acceptance[2], acceptance[0] + 10.0);  // clear separation
+  SweepSpec spec;  // policy: the facs-p fallback
+  spec.scenario_axis({ScenarioChoice{"4", paper_scenario_fixed_speed(4.0)},
+                      ScenarioChoice{"30", paper_scenario_fixed_speed(30.0)},
+                      ScenarioChoice{"60", paper_scenario_fixed_speed(60.0)}});
+  const ResultTable table = run_sweep(std::move(spec), {60}, 10);
+  std::vector<double> acc;
+  for (const char* speed : {"4", "30", "60"})
+    acc.push_back(acceptance(table, "scenario", speed).y_at(60));
+  EXPECT_LT(acc[0], acc[1] + 2.0);
+  EXPECT_LT(acc[1], acc[2] + 2.0);
+  EXPECT_GT(acc[2], acc[0] + 10.0);  // clear separation
 }
 
 TEST(PaperShapes, Fig9SmallerAngleHigherAcceptance) {
-  SweepConfig sweep;
-  sweep.n_values = {50};
-  sweep.replications = 10;
-  std::vector<double> acceptance;
-  for (double angle : {0.0, 50.0, 90.0}) {
-    const auto scen = paper_scenario_fixed_angle(angle);
-    acceptance.push_back(
-        run_policy(scen, make_facs_p_factory(), "FACS-P", sweep).y_at(50));
-  }
-  EXPECT_GT(acceptance[0], acceptance[1] + 5.0);  // 0 deg clearly best
-  EXPECT_GE(acceptance[1], acceptance[2] - 3.0);  // 50 >= 90 (within noise)
+  SweepSpec spec;  // policy: the facs-p fallback
+  spec.scenario_axis({ScenarioChoice{"0", paper_scenario_fixed_angle(0.0)},
+                      ScenarioChoice{"50", paper_scenario_fixed_angle(50.0)},
+                      ScenarioChoice{"90", paper_scenario_fixed_angle(90.0)}});
+  const ResultTable table = run_sweep(std::move(spec), {50}, 10);
+  std::vector<double> acc;
+  for (const char* angle : {"0", "50", "90"})
+    acc.push_back(acceptance(table, "scenario", angle).y_at(50));
+  EXPECT_GT(acc[0], acc[1] + 5.0);  // 0 deg clearly best
+  EXPECT_GE(acc[1], acc[2] - 3.0);  // 50 >= 90 (within noise)
 }
 
 TEST(PaperShapes, FacsPProtectsOngoingCallsBetterThanFacs) {
   // The paper's motivation: FACS-P keeps the QoS of on-going connections.
   // Its handoff dropping must not exceed FACS's.
-  const auto scen = paper_scenario();
-  SweepConfig sweep;
-  sweep.n_values = {80};
-  sweep.replications = 10;
-  const auto fp = Experiment(scen, make_facs_p_factory(), "FACS-P")
-                      .run(sweep)
-                      .dropping_series();
-  const auto f = Experiment(scen, make_facs_factory(), "FACS")
-                     .run(sweep)
-                     .dropping_series();
+  const ResultTable table =
+      run_sweep(policies_spec({"facs-p", "facs"}), {80}, 10);
+  const auto fp =
+      table_series(table, "policy", "facs-p", &ResultRow::dropping_percent);
+  const auto f =
+      table_series(table, "policy", "facs", &ResultRow::dropping_percent);
   EXPECT_LE(fp.y_at(80), f.y_at(80) + 2.0);
 }
 
