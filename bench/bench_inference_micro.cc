@@ -80,9 +80,8 @@ BENCHMARK(BM_Flc1EvaluateBatch)->Arg(256);
 void BM_Flc2EvaluateByResolution(benchmark::State& state) {
   cac::Flc2Params params;
   const auto flc2 = cac::make_flc2(
-      params, {},
-      fuzzy::Defuzzifier(fuzzy::DefuzzMethod::kCentroid,
-                         static_cast<int>(state.range(0))));
+      params, fuzzy::Defuzzifier(fuzzy::DefuzzMethod::kCentroid,
+                                 static_cast<int>(state.range(0))));
   for (auto _ : state)
     benchmark::DoNotOptimize(flc2->evaluate({0.4, 5.0, 17.0}));
 }

@@ -176,78 +176,39 @@ LinguisticVariable make_accept_reject_variable(const Flc2Params& p) {
 }
 
 std::unique_ptr<fuzzy::FuzzyController> make_flc1(
-    const Flc1Params& params, fuzzy::InferenceOptions inference,
-    fuzzy::Defuzzifier defuzz) {
+    const Flc1Params& params, fuzzy::Defuzzifier defuzz) {
   return ControllerBuilder("FLC1")
       .input(make_speed_variable(params))
       .input(make_angle_variable(params))
       .input(make_service_request_variable(params))
       .output(make_correction_output_variable(params))
       .rule_table(frb1_consequents())
-      .inference(inference)
       .defuzzifier(defuzz)
       .build();
 }
 
 std::unique_ptr<fuzzy::FuzzyController> make_flc1_distance(
-    const Flc1DistanceParams& params, fuzzy::InferenceOptions inference,
-    fuzzy::Defuzzifier defuzz) {
+    const Flc1DistanceParams& params, fuzzy::Defuzzifier defuzz) {
   return ControllerBuilder("FLC1-D")
       .input(make_speed_variable(params.base))
       .input(make_angle_variable(params.base))
       .input(make_distance_variable(params))
       .output(make_correction_output_variable(params.base))
       .rule_table(frb1_distance_consequents(params))
-      .inference(inference)
       .defuzzifier(defuzz)
       .build();
 }
 
 std::unique_ptr<fuzzy::FuzzyController> make_flc2(
-    const Flc2Params& params, fuzzy::InferenceOptions inference,
-    fuzzy::Defuzzifier defuzz) {
+    const Flc2Params& params, fuzzy::Defuzzifier defuzz) {
   return ControllerBuilder("FLC2")
       .input(make_correction_input_variable(params))
       .input(make_request_type_variable(params))
       .input(make_counter_state_variable(params))
       .output(make_accept_reject_variable(params))
       .rule_table(frb2_consequents())
-      .inference(inference)
       .defuzzifier(defuzz)
       .build();
-}
-
-std::unique_ptr<fuzzy::SugenoController> make_sugeno_flc2(
-    const Flc2Params& params) {
-  std::vector<fuzzy::LinguisticVariable> inputs;
-  inputs.push_back(make_correction_input_variable(params));
-  inputs.push_back(make_request_type_variable(params));
-  inputs.push_back(make_counter_state_variable(params));
-
-  // Crisp levels: core centres of the A/R output terms (shoulders at 0.8).
-  auto level = [](const std::string& term) {
-    if (term == "A") return 0.8;
-    if (term == "WA") return 0.3;
-    if (term == "NRNA") return 0.0;
-    if (term == "WR") return -0.3;
-    return -0.8;  // "R"
-  };
-
-  const auto& table = frb2_consequents();
-  std::vector<fuzzy::SugenoRule> rules;
-  rules.reserve(table.size());
-  std::size_t n = 0;
-  for (std::size_t cv = 0; cv < 3; ++cv)
-    for (std::size_t rq = 0; rq < 3; ++rq)
-      for (std::size_t cs = 0; cs < 3; ++cs) {
-        fuzzy::SugenoRule r;
-        r.antecedents = {cv, rq, cs};
-        r.constant = level(table[n++]);
-        rules.push_back(std::move(r));
-      }
-  return std::make_unique<fuzzy::SugenoController>(
-      "FLC2-sugeno", std::move(inputs), std::move(rules),
-      fuzzy::TNorm::kProduct);
 }
 
 }  // namespace facsp::cac

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "fuzzy/controller.h"
-#include "fuzzy/sugeno.h"
 
 namespace facsp::cac {
 
@@ -111,30 +110,24 @@ fuzzy::LinguisticVariable make_request_type_variable(const Flc2Params& p = {});
 fuzzy::LinguisticVariable make_counter_state_variable(const Flc2Params& p = {});
 fuzzy::LinguisticVariable make_accept_reject_variable(const Flc2Params& p = {});
 
+/// Output-grid resolution of the FACS and FACS-P policies' defuzzifiers.
+/// The centroid is exact (analytic); bisector and mean-of-maximum in the
+/// defuzzification ablation sample this grid.
+inline constexpr int kPolicyDefuzzResolution = 256;
+
 /// FLC1 of FACS-P: (Sp, An, Sr) -> Cv.
 std::unique_ptr<fuzzy::FuzzyController> make_flc1(
     const Flc1Params& params = {},
-    fuzzy::InferenceOptions inference = {},
     fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
 
 /// FLC1-D of the previous FACS: (Sp, An, Di) -> Cv.
 std::unique_ptr<fuzzy::FuzzyController> make_flc1_distance(
     const Flc1DistanceParams& params = {},
-    fuzzy::InferenceOptions inference = {},
     fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
 
 /// FLC2 (shared): (Cv, Rq, Cs) -> A/R.
 std::unique_ptr<fuzzy::FuzzyController> make_flc2(
     const Flc2Params& params = {},
-    fuzzy::InferenceOptions inference = {},
     fuzzy::Defuzzifier defuzz = fuzzy::Defuzzifier{});
-
-/// A Takagi-Sugeno re-statement of FLC2 (extension): same (Cv, Rq, Cs)
-/// inputs and the 27 Table 2 antecedents, each Mamdani consequent term
-/// replaced by its crisp core centre (A=+0.8, WA=+0.3, NRNA=0, WR=-0.3,
-/// R=-0.8).  No output integration — the "fast path" comparator used by
-/// the inference ablation.
-std::unique_ptr<fuzzy::SugenoController> make_sugeno_flc2(
-    const Flc2Params& params = {});
 
 }  // namespace facsp::cac

@@ -25,9 +25,8 @@ struct FacsPConfig {
   Flc1Params flc1{};
   Flc2Params flc2{};
   PriorityWeights weights{};
-  fuzzy::InferenceOptions inference{};
+  /// Varied by the defuzzification ablation (A2); the paper uses centroid.
   fuzzy::DefuzzMethod defuzz_method = fuzzy::DefuzzMethod::kCentroid;
-  int defuzz_resolution = 256;
   /// Admit when the crisp A/R exceeds this (0 = the NRNA centre).
   double accept_threshold = 0.08;
   /// Score bonus for handoff continuations of on-going calls (stronger than

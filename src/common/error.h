@@ -30,7 +30,7 @@ class ContractViolation : public Error {
   explicit ContractViolation(const std::string& what) : Error(what) {}
 };
 
-/// Error while parsing a textual artifact (fuzzy rule file, scenario file).
+/// Error while parsing a textual artifact (scenario file, request trace).
 class ParseError : public Error {
  public:
   ParseError(const std::string& what, int line)

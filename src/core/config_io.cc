@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -34,6 +35,9 @@ double parse_double(const std::string& v) {
   std::size_t used = 0;
   const double x = std::stod(v, &used);
   if (used != v.size()) throw std::invalid_argument("trailing characters");
+  // No scenario field has a meaningful NaN or infinite value, and validate()
+  // range checks such as `<= 0` let NaN through.
+  if (!std::isfinite(x)) throw std::invalid_argument("not a finite number");
   return x;
 }
 

@@ -11,12 +11,10 @@
 // Generic fuzzy logic
 #include "fuzzy/builder.h"      // fluent variable/controller construction
 #include "fuzzy/controller.h"   // crisp-in/crisp-out Mamdani FLC
-#include "fuzzy/defuzzifier.h"  // centroid, bisector, MOM, ...
-#include "fuzzy/inference.h"    // t-norms, s-norms, implication
+#include "fuzzy/defuzzifier.h"  // centroid, bisector, MOM, weighted average
+#include "fuzzy/inference.h"    // min/max rule evaluation, batched lanes
 #include "fuzzy/membership.h"   // triangular / trapezoidal / shoulders
-#include "fuzzy/rule_parser.h"  // textual IF-THEN rules
 #include "fuzzy/rulebase.h"     // validated rule sets
-#include "fuzzy/sugeno.h"       // Takagi-Sugeno extension
 #include "fuzzy/variable.h"     // linguistic variables
 
 // Discrete-event simulation
@@ -50,8 +48,9 @@
 
 // Experiments
 #include "core/config_io.h"    // scenario files
-#include "core/experiment.h"   // replicated sweeps, policy factories
+#include "core/experiment.h"   // one simulated cell, policy factories
 #include "core/paper.h"        // the paper's Sec. 4 scenarios
 #include "core/report.h"       // shape checks, CSV
 #include "core/scenario.h"     // ScenarioConfig
 #include "core/session.h"      // the session driver
+#include "core/sweep.h"        // replicated sweeps (SweepSpec, SweepRunner)

@@ -1,7 +1,6 @@
 #include "fuzzy/builder.h"
 
 #include "common/error.h"
-#include "fuzzy/rule_parser.h"
 #include "fuzzy/rulebase.h"
 
 namespace facsp::fuzzy {
@@ -89,14 +88,6 @@ ControllerBuilder& ControllerBuilder::output(LinguisticVariable v) {
   return *this;
 }
 
-ControllerBuilder& ControllerBuilder::rule(const std::string& text) {
-  if (output_.empty())
-    throw ConfigError("controller '" + name_ +
-                      "': declare output before rules");
-  rules_.push_back(parse_rule(text, inputs_, output_.front()));
-  return *this;
-}
-
 ControllerBuilder& ControllerBuilder::rule(
     const std::vector<std::string>& antecedent_terms,
     const std::string& consequent_term, double weight) {
@@ -124,11 +115,6 @@ ControllerBuilder& ControllerBuilder::rule_table(
   return *this;
 }
 
-ControllerBuilder& ControllerBuilder::inference(InferenceOptions options) {
-  inference_ = options;
-  return *this;
-}
-
 ControllerBuilder& ControllerBuilder::defuzzifier(Defuzzifier d) {
   defuzz_ = d;
   return *this;
@@ -147,8 +133,7 @@ std::unique_ptr<FuzzyController> ControllerBuilder::build() {
     throw ConfigError("controller '" + name_ + "': no rules");
   return std::make_unique<FuzzyController>(name_, std::move(inputs_),
                                            std::move(output_.front()),
-                                           std::move(rules_), inference_,
-                                           defuzz_);
+                                           std::move(rules_), defuzz_);
 }
 
 }  // namespace facsp::fuzzy

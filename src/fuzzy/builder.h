@@ -9,7 +9,7 @@
 //   auto flc = ControllerBuilder("demo")
 //                  .input(speed).input(angle).input(service)
 //                  .output(correction)
-//                  .rule("IF Sp is Sl AND An is B1 AND Sr is Sm THEN Cv is Cv1")
+//                  .rule({"Sl", "B1", "Sm"}, "Cv1")
 //                  ...
 //                  .build();
 #pragma once
@@ -66,9 +66,6 @@ class ControllerBuilder {
   ControllerBuilder& input(LinguisticVariable v);
   ControllerBuilder& output(LinguisticVariable v);
 
-  /// Add one rule in textual form (see rule_parser.h for the grammar).
-  ControllerBuilder& rule(const std::string& text);
-
   /// Add one rule by explicit term names, one per input in declaration
   /// order; "*" is the wildcard.
   ControllerBuilder& rule(const std::vector<std::string>& antecedent_terms,
@@ -79,7 +76,6 @@ class ControllerBuilder {
   /// paper's Table 1 / Table 2 are printed.
   ControllerBuilder& rule_table(const std::vector<std::string>& consequents);
 
-  ControllerBuilder& inference(InferenceOptions options);
   ControllerBuilder& defuzzifier(Defuzzifier d);
 
   /// Validates and constructs the controller (throws facsp::ConfigError if
@@ -92,7 +88,6 @@ class ControllerBuilder {
   std::vector<LinguisticVariable> output_;  // 0 or 1 elements
   std::vector<FuzzyRule> rules_;
   std::vector<std::string> pending_table_;
-  InferenceOptions inference_{};
   Defuzzifier defuzz_{};
 };
 

@@ -35,7 +35,6 @@ class FuzzyController {
   /// variables (arity/term indices) — see RuleBase.
   FuzzyController(std::string name, std::vector<LinguisticVariable> inputs,
                   LinguisticVariable output, std::vector<FuzzyRule> rules,
-                  InferenceOptions inference = {},
                   Defuzzifier defuzzifier = Defuzzifier{});
 
   FuzzyController(const FuzzyController&) = delete;
@@ -67,7 +66,7 @@ class FuzzyController {
 
   /// Explicit-scratch form of evaluate_batch(): rows are processed in
   /// structure-of-arrays blocks of InferenceEngine::kLanes through the lane
-  /// kernels (SIMD when enabled), then defuzzified per row.  Each output is
+  /// kernels (AVX2 where built and supported), then defuzzified per row.  Each output is
   /// bit-identical to evaluate_with() on that row.  Zero heap allocations
   /// once `scratch` is warm.
   void evaluate_batch_with(InferenceScratch& scratch,
@@ -86,9 +85,6 @@ class FuzzyController {
   const LinguisticVariable& output() const noexcept { return output_; }
   const RuleBase& rules() const noexcept { return rules_; }
   const Defuzzifier& defuzzifier() const noexcept { return defuzz_; }
-  const InferenceOptions& inference_options() const noexcept {
-    return engine_->options();
-  }
 
  private:
   std::string name_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -15,13 +13,12 @@ namespace {
 
 // --- analytic alpha-cut centroid -------------------------------------------
 //
-// Under min (clip) or product (scale) implication an implicated
-// piecewise-linear term is the pointwise MIN of at most three affine
-// functions of y: the alpha plateau, the (scaled) rising edge and the
-// (scaled) falling edge.  A min of affine functions is concave piecewise
-// linear, so its only breakpoints are pairwise line crossings and it can be
-// integrated exactly with the trapezoid rule between consecutive crossings
-// — no term-piece domain bookkeeping at all.
+// Under min (clip) implication a clipped piecewise-linear term is the
+// pointwise MIN of at most three affine functions of y: the alpha plateau,
+// the rising edge and the falling edge.  A min of affine functions is
+// concave piecewise linear, so its only breakpoints are pairwise line
+// crossings and it can be integrated exactly with the trapezoid rule between
+// consecutive crossings — no term-piece domain bookkeeping at all.
 
 /// A small bag of affine functions y -> s*y + t representing one concave
 /// min.  Capacity 6: {plateau, rise, fall} for each term of an adjacent
@@ -89,17 +86,15 @@ void integrate_concave_min(const AffineMin& f, double x0, double x1,
   }
 }
 
-/// Append the affine pieces of one implicated term.  Valid on the term's
-/// support (where rise/fall are non-negative), which is exactly where it is
-/// integrated.  Min implication clips at alpha; product scales by alpha —
-/// in both cases the plateau line is the constant alpha (alpha * 1).
-void implicated_term_lines(const MembershipFunction& mf, double alpha,
-                           Implication impl, AffineMin& f) noexcept {
-  const double scale = impl == Implication::kProduct ? alpha : 1.0;
+/// Append the affine pieces of one term clipped at alpha.  Valid on the
+/// term's support (where rise/fall are non-negative), which is exactly where
+/// it is integrated.
+void clipped_term_lines(const MembershipFunction& mf, double alpha,
+                        AffineMin& f) noexcept {
   f.add(0.0, alpha);
   const double a = mf.a(), b = mf.b(), c = mf.c(), d = mf.d();
-  if (std::isfinite(b) && b > a) f.add(scale / (b - a), -scale * a / (b - a));
-  if (std::isfinite(c) && d > c) f.add(-scale / (d - c), scale * d / (d - c));
+  if (std::isfinite(b) && b > a) f.add(1.0 / (b - a), -a / (b - a));
+  if (std::isfinite(c) && d > c) f.add(-1.0 / (d - c), d / (d - c));
 }
 
 /// The analytic decomposition needs the output terms to be sorted left to
@@ -129,26 +124,13 @@ const char* to_string(DefuzzMethod m) noexcept {
     case DefuzzMethod::kCentroid: return "centroid";
     case DefuzzMethod::kBisector: return "bisector";
     case DefuzzMethod::kMeanOfMaximum: return "mom";
-    case DefuzzMethod::kSmallestOfMaximum: return "som";
-    case DefuzzMethod::kLargestOfMaximum: return "lom";
     case DefuzzMethod::kWeightedAverage: return "wavg";
   }
   return "centroid";
 }
 
-DefuzzMethod defuzz_method_from_string(std::string_view name) {
-  if (name == "centroid") return DefuzzMethod::kCentroid;
-  if (name == "bisector") return DefuzzMethod::kBisector;
-  if (name == "mom") return DefuzzMethod::kMeanOfMaximum;
-  if (name == "som") return DefuzzMethod::kSmallestOfMaximum;
-  if (name == "lom") return DefuzzMethod::kLargestOfMaximum;
-  if (name == "wavg") return DefuzzMethod::kWeightedAverage;
-  throw ConfigError("unknown defuzzification method '" + std::string(name) +
-                    "' (expected centroid|bisector|mom|som|lom|wavg)");
-}
-
-Defuzzifier::Defuzzifier(DefuzzMethod method, int resolution, SNorm aggregation)
-    : method_(method), resolution_(resolution), aggregation_(aggregation) {
+Defuzzifier::Defuzzifier(DefuzzMethod method, int resolution)
+    : method_(method), resolution_(resolution) {
   if (resolution_ < 8)
     throw ConfigError("defuzzifier: resolution must be >= 8");
 }
@@ -189,17 +171,12 @@ bool Defuzzifier::primed_for(const LinguisticVariable& output) const noexcept {
          grid_->term_grades.size() == output.term_count() * grid_->ys.size();
 }
 
-double Defuzzifier::defuzzify(const OutputFuzzySet& set,
-                              const LinguisticVariable& output) const {
-  static thread_local std::vector<double> mu_scratch;
-  return defuzzify(set.activations, set.implication, output, mu_scratch);
-}
-
 double Defuzzifier::defuzzify(std::span<const double> activations,
-                              Implication implication,
                               const LinguisticVariable& output,
                               std::vector<double>& mu_scratch) const {
   FACSP_EXPECTS(activations.size() == output.term_count());
+  FACSP_EXPECTS(method_ == DefuzzMethod::kWeightedAverage ||
+                primed_for(output));
   bool empty = true;
   for (double a : activations) {
     if (a > 0.0) {
@@ -211,54 +188,29 @@ double Defuzzifier::defuzzify(std::span<const double> activations,
 
   if (method_ == DefuzzMethod::kWeightedAverage)
     return weighted_average(activations, output);
-  const bool primed = primed_for(output);
-  if (analytic_ && analytic_supported(method_, aggregation_, implication) &&
-      (primed ? grid_->analytic_ok : ordered_adjacent_partition(output)))
-    return centroid_analytic(activations, implication, output);
-  if (primed)
-    return defuzzify_grid(*grid_, activations, implication, output,
-                          mu_scratch);
-  switch (method_) {
-    case DefuzzMethod::kCentroid:
-      return centroid(activations, implication, output);
-    case DefuzzMethod::kBisector:
-      return bisector(activations, implication, output, mu_scratch);
-    default:
-      return of_maximum(activations, implication, output);
-  }
-}
-
-double Defuzzifier::aggregate_at(std::span<const double> activations,
-                                 Implication impl,
-                                 const LinguisticVariable& output,
-                                 double y) const {
-  double acc = 0.0;
-  for (std::size_t k = 0; k < activations.size(); ++k) {
-    if (activations[k] <= 0.0) continue;
-    const double g =
-        apply_implication(impl, activations[k], output.term(k).mf.grade(y));
-    acc = apply_snorm(aggregation_, acc, g);
-  }
-  return acc;
+  if (analytic_ && method_ == DefuzzMethod::kCentroid && grid_->analytic_ok)
+    return centroid_analytic(activations, output);
+  return defuzzify_grid(*grid_, activations, output, mu_scratch);
 }
 
 double Defuzzifier::defuzzify_grid(const Grid& grid,
                                    std::span<const double> activations,
-                                   Implication impl,
                                    const LinguisticVariable& output,
                                    std::vector<double>& mu_scratch) const {
   const std::size_t n = grid.ys.size();
   const double* const ys = grid.ys.data();
-  // Aggregate the clipped/scaled term columns into the sample buffer.  Term
-  // order matches the naive path, so the float accumulation is identical.
+  // Aggregate the clipped term columns into the sample buffer: mu = max over
+  // terms of min(activation, grade).
   mu_scratch.assign(n, 0.0);
   double* const mu = mu_scratch.data();
   for (std::size_t k = 0; k < activations.size(); ++k) {
     const double a = activations[k];
     if (a <= 0.0) continue;
     const double* row = grid.term_grades.data() + k * n;
-    for (std::size_t i = 0; i < n; ++i)
-      mu[i] = apply_snorm(aggregation_, mu[i], apply_implication(impl, a, row[i]));
+    for (std::size_t i = 0; i < n; ++i) {
+      const double g = a < row[i] ? a : row[i];
+      mu[i] = mu[i] > g ? mu[i] : g;
+    }
   }
 
   const double mid = 0.5 * (output.universe_lo() + output.universe_hi());
@@ -285,48 +237,32 @@ double Defuzzifier::defuzzify_grid(const Grid& grid,
       }
       return output.universe_hi();
     }
-    default: {
+    default: {  // mean of maximum
       double max_mu = 0.0;
       for (std::size_t i = 0; i < n; ++i) max_mu = std::max(max_mu, mu[i]);
       if (max_mu <= 0.0) return mid;
       const double tol = 1e-9;
-      double first = output.universe_hi(), last = output.universe_lo();
       double sum = 0.0;
       std::size_t count = 0;
       for (std::size_t i = 0; i < n; ++i) {
         if (mu[i] >= max_mu - tol) {
-          first = std::min(first, ys[i]);
-          last = std::max(last, ys[i]);
           sum += ys[i];
           ++count;
         }
       }
-      switch (method_) {
-        case DefuzzMethod::kSmallestOfMaximum: return first;
-        case DefuzzMethod::kLargestOfMaximum: return last;
-        default: return sum / static_cast<double>(count);
-      }
+      return sum / static_cast<double>(count);
     }
   }
 }
 
-bool Defuzzifier::analytic_supported(DefuzzMethod method, SNorm aggregation,
-                                     Implication implication) noexcept {
-  return method == DefuzzMethod::kCentroid &&
-         aggregation == SNorm::kMaximum &&
-         (implication == Implication::kMinimum ||
-          implication == Implication::kProduct);
-}
-
-bool Defuzzifier::analytic_applicable(const LinguisticVariable& output,
-                                      Implication implication) const noexcept {
-  return analytic_ && analytic_supported(method_, aggregation_, implication) &&
+bool Defuzzifier::analytic_applicable(
+    const LinguisticVariable& output) const noexcept {
+  return analytic_ && method_ == DefuzzMethod::kCentroid &&
          (primed_for(output) ? grid_->analytic_ok
                              : ordered_adjacent_partition(output));
 }
 
 double Defuzzifier::centroid_analytic(std::span<const double> activations,
-                                      Implication impl,
                                       const LinguisticVariable& output) const {
   const double lo = output.universe_lo();
   const double hi = output.universe_hi();
@@ -339,11 +275,11 @@ double Defuzzifier::centroid_analytic(std::span<const double> activations,
     if (alpha <= 0.0) continue;
     const MembershipFunction& mf = output.term(k).mf;
     if (mf.is_singleton()) continue;  // zero measure under any integral
-    // Clip implication saturates at the term's height 1, so alpha > 1 (only
+    // Clipping saturates at the term's height 1, so alpha > 1 (only
     // reachable through the raw API) behaves exactly like alpha == 1.
-    if (impl == Implication::kMinimum && alpha > 1.0) alpha = 1.0;
+    if (alpha > 1.0) alpha = 1.0;
     AffineMin one;
-    implicated_term_lines(mf, alpha, impl, one);
+    clipped_term_lines(mf, alpha, one);
     integrate_concave_min(one, std::max(mf.a(), lo), std::min(mf.d(), hi),
                           1.0, area, moment);
     if (prev != kNone && k == prev + 1) {
@@ -351,8 +287,8 @@ double Defuzzifier::centroid_analytic(std::span<const double> activations,
       // property guarantees no third term is positive there.
       const MembershipFunction& pm = output.term(prev).mf;
       AffineMin pair;
-      implicated_term_lines(pm, prev_alpha, impl, pair);
-      implicated_term_lines(mf, alpha, impl, pair);
+      clipped_term_lines(pm, prev_alpha, pair);
+      clipped_term_lines(mf, alpha, pair);
       integrate_concave_min(pair, std::max(mf.a(), lo), std::min(pm.d(), hi),
                             -1.0, area, moment);
     }
@@ -361,78 +297,6 @@ double Defuzzifier::centroid_analytic(std::span<const double> activations,
   }
   if (area <= 0.0) return 0.5 * (lo + hi);
   return moment / area;
-}
-
-double Defuzzifier::centroid(std::span<const double> activations,
-                             Implication impl,
-                             const LinguisticVariable& output) const {
-  const double lo = output.universe_lo();
-  const double hi = output.universe_hi();
-  const double dy = (hi - lo) / (resolution_ - 1);
-  double num = 0.0, den = 0.0;
-  for (int i = 0; i < resolution_; ++i) {
-    const double y = lo + i * dy;
-    // Trapezoidal quadrature: halve the end samples.
-    const double w = (i == 0 || i == resolution_ - 1) ? 0.5 : 1.0;
-    const double mu = aggregate_at(activations, impl, output, y) * w;
-    num += mu * y;
-    den += mu;
-  }
-  if (den <= 0.0) return 0.5 * (lo + hi);
-  return num / den;
-}
-
-double Defuzzifier::bisector(std::span<const double> activations,
-                             Implication impl,
-                             const LinguisticVariable& output,
-                             std::vector<double>& mu_scratch) const {
-  const double lo = output.universe_lo();
-  const double hi = output.universe_hi();
-  const double dy = (hi - lo) / (resolution_ - 1);
-  mu_scratch.resize(static_cast<std::size_t>(resolution_));
-  double total = 0.0;
-  for (int i = 0; i < resolution_; ++i) {
-    mu_scratch[i] = aggregate_at(activations, impl, output, lo + i * dy);
-    total += mu_scratch[i];
-  }
-  if (total <= 0.0) return 0.5 * (lo + hi);
-  double acc = 0.0;
-  for (int i = 0; i < resolution_; ++i) {
-    acc += mu_scratch[i];
-    if (acc >= 0.5 * total) return lo + i * dy;
-  }
-  return hi;
-}
-
-double Defuzzifier::of_maximum(std::span<const double> activations,
-                               Implication impl,
-                               const LinguisticVariable& output) const {
-  const double lo = output.universe_lo();
-  const double hi = output.universe_hi();
-  const double dy = (hi - lo) / (resolution_ - 1);
-  double max_mu = 0.0;
-  for (int i = 0; i < resolution_; ++i)
-    max_mu = std::max(max_mu,
-                      aggregate_at(activations, impl, output, lo + i * dy));
-  if (max_mu <= 0.0) return 0.5 * (lo + hi);
-
-  const double tol = 1e-9;
-  double first = hi, last = lo, sum = 0.0;
-  int count = 0;
-  for (int i = 0; i < resolution_; ++i) {
-    const double y = lo + i * dy;
-    if (aggregate_at(activations, impl, output, y) >= max_mu - tol) {
-      first = std::min(first, y);
-      last = std::max(last, y);
-      sum += y;
-      ++count;
-    }
-  }
-  switch (method_) {
-    case DefuzzMethod::kSmallestOfMaximum: return first;
-    case DefuzzMethod::kLargestOfMaximum: return last;
-    default: return sum / count;
-  }
 }
 
 double Defuzzifier::weighted_average(std::span<const double> activations,
@@ -447,75 +311,6 @@ double Defuzzifier::weighted_average(std::span<const double> activations,
   if (den <= 0.0)
     return 0.5 * (output.universe_lo() + output.universe_hi());
   return num / den;
-}
-
-ResolutionTuning tune_centroid_resolution(const LinguisticVariable& output,
-                                          Implication implication,
-                                          SNorm aggregation,
-                                          double abs_error_bound,
-                                          int min_resolution,
-                                          int max_resolution) {
-  if (!Defuzzifier::analytic_supported(DefuzzMethod::kCentroid, aggregation,
-                                       implication) ||
-      !ordered_adjacent_partition(output))
-    throw ConfigError(
-        "tune_centroid_resolution: the analytic centroid is unavailable for "
-        "this (implication, aggregation, term layout); there is no exact "
-        "reference to tune against");
-  if (abs_error_bound <= 0.0)
-    throw ConfigError("tune_centroid_resolution: abs_error_bound must be > 0");
-  if (min_resolution < 8) min_resolution = 8;
-  if (max_resolution < min_resolution) max_resolution = min_resolution;
-
-  // Deterministic probe set: every term alone at a few heights, every
-  // adjacent pair, and pseudo-random mixtures from a fixed LCG.
-  const std::size_t terms = output.term_count();
-  std::vector<std::vector<double>> probes;
-  for (std::size_t k = 0; k < terms; ++k) {
-    for (const double h : {1.0, 0.6, 0.25}) {
-      std::vector<double> acts(terms, 0.0);
-      acts[k] = h;
-      probes.push_back(std::move(acts));
-    }
-    if (k + 1 < terms) {
-      std::vector<double> acts(terms, 0.0);
-      acts[k] = 0.8;
-      acts[k + 1] = 0.35;
-      probes.push_back(std::move(acts));
-    }
-  }
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  auto next_unit = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<double>(state >> 11) * 0x1p-53;
-  };
-  for (int p = 0; p < 32; ++p) {
-    std::vector<double> acts(terms, 0.0);
-    for (std::size_t k = 0; k < terms; ++k) {
-      const double u = next_unit();
-      acts[k] = u < 0.5 ? 0.0 : 2.0 * (u - 0.5);  // ~half the terms silent
-    }
-    probes.push_back(std::move(acts));
-  }
-
-  Defuzzifier exact(DefuzzMethod::kCentroid, min_resolution, aggregation);
-  std::vector<double> reference(probes.size());
-  std::vector<double> mu;
-  for (std::size_t i = 0; i < probes.size(); ++i)
-    reference[i] = exact.defuzzify(probes[i], implication, output, mu);
-
-  for (int res = min_resolution;; res = std::min(res * 2, max_resolution)) {
-    Defuzzifier grid(DefuzzMethod::kCentroid, res, aggregation);
-    grid.set_analytic_centroid(false);
-    grid.prime(output);
-    double err = 0.0;
-    for (std::size_t i = 0; i < probes.size(); ++i)
-      err = std::max(err, std::abs(grid.defuzzify(probes[i], implication,
-                                                  output, mu) -
-                                   reference[i]));
-    if (err <= abs_error_bound) return {res, err, true};
-    if (res >= max_resolution) return {res, err, false};
-  }
 }
 
 }  // namespace facsp::fuzzy

@@ -1,35 +1,32 @@
 // Defuzzification: turn an aggregated output fuzzy set into a crisp value.
 //
-// The paper uses a standard Mamdani pipeline; centroid (centre of gravity) is
-// the default.  Alternative methods are provided for the ablation study
-// (bench_ablation_defuzz) and for applications with different latency or
-// smoothness needs.
+// The paper uses a standard Mamdani pipeline (min implication clips each
+// output term at its activation, max aggregates the clipped terms) with a
+// centroid output.  Bisector, mean-of-maximum and weighted-average are the
+// alternatives of the A2 ablation (bench_ablation_defuzz).
 //
-// Two evaluation paths produce identical results:
-//  * the naive path re-evaluates every output-term membership function at
-//    every grid sample (no setup, works for any variable);
-//  * the table-driven fast path reads precomputed per-term grade rows built
-//    by prime() — tight fused loops over flat arrays with zero allocations.
-// FuzzyController primes its defuzzifier at construction, so all controller
-// evaluations take the fast path.
+// prime() samples the output variable once into per-term grade rows; the
+// grid methods then run tight fused loops over those flat arrays with zero
+// allocations.  defuzzify() requires a primed defuzzifier (weighted average
+// reads only term core centres and needs no grid).  FuzzyController primes
+// its defuzzifier at construction.
 //
-// For the default configuration — centroid method, max aggregation, min or
-// product implication, and an output variable whose terms form an ordered
-// partition with only adjacent-pair support overlap (every paper variable) —
-// a third path computes the centroid *analytically*: each implicated term is
-// a concave min of affine functions (alpha cut + rising/falling edges), so
-// its area and first moment integrate in closed form, and the max envelope
-// decomposes by inclusion-exclusion as single-term integrals minus the
-// pairwise min over each adjacent overlap.  No grid, no O(resolution) work,
-// exact up to rounding.  Unsupported methods/norms/term layouts fall back to
-// the grid automatically; set_analytic_centroid(false) forces the grid path
-// (used by the grid-parity tests and the resolution auto-tuner).
+// When the output variable's terms form an ordered partition with only
+// adjacent-pair support overlap (every paper variable), the centroid is
+// computed *analytically*: each clipped term is a concave min of affine
+// functions (alpha cut + rising/falling edges), so its area and first moment
+// integrate in closed form, and the max envelope decomposes by
+// inclusion-exclusion as single-term integrals minus the pairwise min over
+// each adjacent overlap.  No grid, no O(resolution) work, exact up to
+// rounding.  Other term layouts fall back to the grid automatically;
+// set_analytic_centroid(false) forces the grid path (used by the
+// grid-parity tests).
 #pragma once
 
 #include <memory>
 #include <span>
+#include <vector>
 
-#include "fuzzy/inference.h"
 #include "fuzzy/variable.h"
 
 namespace facsp::fuzzy {
@@ -39,73 +36,58 @@ enum class DefuzzMethod {
   kCentroid,           ///< centre of gravity of the aggregated set (default)
   kBisector,           ///< vertical line splitting the area in half
   kMeanOfMaximum,      ///< mean of the y values attaining the maximum grade
-  kSmallestOfMaximum,  ///< smallest y attaining the maximum grade
-  kLargestOfMaximum,   ///< largest y attaining the maximum grade
   kWeightedAverage,    ///< activation-weighted average of term core centers
 };
 
-/// Parse/format helpers (used by benches and the CLI of examples).
+/// Short method name ("centroid", "bisector", "mom", "wavg") for test and
+/// bench labels.
 const char* to_string(DefuzzMethod m) noexcept;
-DefuzzMethod defuzz_method_from_string(std::string_view name);
 
 /// Numeric defuzzifier over a bounded output universe.
 ///
-/// All integral methods sample the aggregated membership on a uniform grid
-/// of `resolution` points across the output variable's universe; 512 points
-/// give < 1e-3 absolute error for the paper's piecewise-linear sets.
+/// Bisector, mean-of-maximum and (off the analytic path) the centroid
+/// sample the aggregated membership on a uniform grid of `resolution` points
+/// across the output variable's universe; 512 points give < 1e-3 absolute
+/// error for the paper's piecewise-linear sets.
 class Defuzzifier {
  public:
   explicit Defuzzifier(DefuzzMethod method = DefuzzMethod::kCentroid,
-                       int resolution = 512, SNorm aggregation = SNorm::kMaximum);
+                       int resolution = 512);
 
   /// Precompute the sample grid for `output`: the y value of every grid
   /// point and each term's membership grade at those points.  The grid is
-  /// keyed by variable identity (address), so it is only used when
-  /// defuzzify() later receives the same variable; any other variable falls
-  /// back to the naive path.  `output` must outlive the grid (the
+  /// keyed by variable identity (address), so defuzzify() accepts only that
+  /// variable afterwards.  `output` must outlive the grid (the
   /// FuzzyController owns both).  Copies of a primed defuzzifier share the
   /// immutable grid.
   void prime(const LinguisticVariable& output);
 
-  /// True when defuzzify(..., output) would take the table-driven path.
+  /// True when prime(output) built the current grid.
   bool primed_for(const LinguisticVariable& output) const noexcept;
 
-  /// Crisp output for the aggregated set.  When no rule fired (empty set)
-  /// returns the midpoint of the universe — a neutral value; FACS-P's rule
-  /// bases are complete so this only happens for out-of-universe abuse.
-  double defuzzify(const OutputFuzzySet& set,
-                   const LinguisticVariable& output) const;
-
-  /// Allocation-free form: activations one per output term, `implication`
-  /// as applied by the inference engine, `mu_scratch` a reusable sample
-  /// buffer (scratch.mu of the InferenceScratch threaded through the
-  /// controller).  Zero heap allocations once primed and warm.
+  /// Crisp output for `activations` (one per output term, as produced by
+  /// the inference engine); `mu_scratch` is a reusable sample buffer
+  /// (scratch.mu of the InferenceScratch threaded through the controller).
+  /// When no rule fired (empty set) returns the midpoint of the universe —
+  /// a neutral value; FACS-P's rule bases are complete so this only happens
+  /// for out-of-universe abuse.  Precondition: primed_for(output), unless
+  /// the method is weighted average.  Zero heap allocations once warm.
   double defuzzify(std::span<const double> activations,
-                   Implication implication, const LinguisticVariable& output,
+                   const LinguisticVariable& output,
                    std::vector<double>& mu_scratch) const;
 
   DefuzzMethod method() const noexcept { return method_; }
   int resolution() const noexcept { return resolution_; }
-  SNorm aggregation() const noexcept { return aggregation_; }
 
-  /// True when (method, aggregation, implication) admits the closed-form
-  /// alpha-cut centroid.  The term-layout requirement is checked separately
-  /// (see analytic_applicable()).
-  static bool analytic_supported(DefuzzMethod method, SNorm aggregation,
-                                 Implication implication) noexcept;
-
-  /// True when defuzzify(..., implication, output, ...) would take the
-  /// analytic path: analytic centroids enabled, the operator combination is
-  /// supported, and `output`'s terms form an ordered adjacent-overlap
-  /// partition.
-  bool analytic_applicable(const LinguisticVariable& output,
-                           Implication implication) const noexcept;
+  /// True when defuzzify(..., output, ...) would take the analytic path:
+  /// centroid method, analytic centroids enabled, and `output`'s terms form
+  /// an ordered adjacent-overlap partition.
+  bool analytic_applicable(const LinguisticVariable& output) const noexcept;
 
   /// Enable/disable the analytic centroid path (default: enabled).  With it
   /// disabled every centroid evaluation uses the resolution-point grid —
   /// retained as an independent cross-check and for error measurement.
   void set_analytic_centroid(bool enabled) noexcept { analytic_ = enabled; }
-  bool analytic_centroid() const noexcept { return analytic_; }
 
  private:
   /// Precomputed sample tables for one output variable.  Immutable after
@@ -118,56 +100,19 @@ class Defuzzifier {
     bool analytic_ok = false;  ///< term layout admits the analytic centroid
   };
 
-  /// Aggregated membership at sample y (naive path).
-  double aggregate_at(std::span<const double> activations, Implication impl,
-                      const LinguisticVariable& output, double y) const;
-
   double defuzzify_grid(const Grid& grid, std::span<const double> activations,
-                        Implication impl, const LinguisticVariable& output,
+                        const LinguisticVariable& output,
                         std::vector<double>& mu_scratch) const;
 
-  double centroid(std::span<const double> activations, Implication impl,
-                  const LinguisticVariable& output) const;
   double centroid_analytic(std::span<const double> activations,
-                           Implication impl,
                            const LinguisticVariable& output) const;
-  double bisector(std::span<const double> activations, Implication impl,
-                  const LinguisticVariable& output,
-                  std::vector<double>& mu_scratch) const;
-  double of_maximum(std::span<const double> activations, Implication impl,
-                    const LinguisticVariable& output) const;
   double weighted_average(std::span<const double> activations,
                           const LinguisticVariable& output) const;
 
   DefuzzMethod method_;
   int resolution_;
-  SNorm aggregation_;
   bool analytic_ = true;
   std::shared_ptr<const Grid> grid_;
 };
-
-/// Result of tune_centroid_resolution().
-struct ResolutionTuning {
-  int resolution = 0;        ///< smallest probed grid meeting the bound
-  double max_abs_error = 0;  ///< worst |grid - analytic| observed at it
-  bool met_bound = false;    ///< false: even max_resolution missed the bound
-};
-
-/// Pick the smallest grid resolution whose centroid differs from the
-/// analytic (exact) centroid by at most `abs_error_bound` across a
-/// deterministic probe set of activation vectors (every term alone at
-/// several heights, every adjacent pair, and pseudo-random mixtures).
-/// Resolutions are probed doubling from max(8, min_resolution) up to
-/// max_resolution; if even that misses the bound, the result carries
-/// met_bound = false and the measured error so callers can decide.
-/// Throws facsp::ConfigError when the analytic centroid is unavailable for
-/// (output, implication, aggregation) — without an exact reference there is
-/// nothing to tune against.
-ResolutionTuning tune_centroid_resolution(const LinguisticVariable& output,
-                                          Implication implication,
-                                          SNorm aggregation,
-                                          double abs_error_bound,
-                                          int min_resolution = 8,
-                                          int max_resolution = 1 << 14);
 
 }  // namespace facsp::fuzzy

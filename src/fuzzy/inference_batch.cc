@@ -6,8 +6,8 @@
 // innermost loops step across decisions, not terms.  The generic kernels are
 // flat branch-free loops the compiler auto-vectorizes; with FACSP_SIMD on
 // x86-64 the same algorithms are hand-written in AVX2 intrinsics
-// (runtime-dispatched, no global -mavx2).  Every other target runs the
-// generic kernels.
+// (runtime-dispatched on CPU support, no global -mavx2).  Every other target,
+// and every -DFACSP_SIMD=OFF build, runs the generic kernels.
 //
 // Bit-identity contract (load-bearing for the PR 2-5 determinism guarantees;
 // asserted by tests/fuzzy/test_batch_inference.cc): per lane, every kernel
@@ -17,11 +17,11 @@
 //    to 0 by an ordered compare, matching grade()'s isnan guard.  Degenerate
 //    shapes (singletons, zero-width edges) take a scalar per-lane fallback
 //    through grade() itself.
-//  * rules: the strength folds antecedent grades in antecedent order and
-//    multiplies the weight last, exactly like the scalar loop.  The scalar
-//    loop early-exits once the strength hits 0; evaluating on is
-//    value-identical because min(0, g) == 0, 0 * g == 0 and every s-norm
-//    satisfies snorm(acc, 0) == acc for acc in [0, 1].
+//  * rules: the strength folds antecedent grades by min in antecedent order
+//    and multiplies the weight last, exactly like the scalar loop, then
+//    aggregates into its consequent by max.  The scalar loop early-exits
+//    once the strength hits 0; evaluating on is value-identical because
+//    min(0, g) == 0, 0 * w == 0 and max(acc, 0) == acc for acc in [0, 1].
 //  * only min/max/add/sub/mul/div lane ops are used — never FMA — so the
 //    intrinsic kernels round exactly like the scalar code.
 #include <cmath>
@@ -115,36 +115,15 @@ void InferenceEngine::infer_lanes_generic(InferenceScratch& scratch) const {
   const std::uint32_t* const slots = rule_slots_.data();
   for (const FlatRule& rule : flat_rules_) {
     for (std::size_t l = 0; l < W; ++l) st[l] = 1.0;
-    if (options_.t_norm == TNorm::kMinimum) {
-      for (std::uint32_t i = 0; i < rule.count; ++i) {
-        const double* const gr = grades + slots[rule.first + i] * W;
-        for (std::size_t l = 0; l < W; ++l)
-          st[l] = gr[l] < st[l] ? gr[l] : st[l];
-      }
-    } else {
-      for (std::uint32_t i = 0; i < rule.count; ++i) {
-        const double* const gr = grades + slots[rule.first + i] * W;
-        for (std::size_t l = 0; l < W; ++l) st[l] *= gr[l];
-      }
+    for (std::uint32_t i = 0; i < rule.count; ++i) {
+      const double* const gr = grades + slots[rule.first + i] * W;
+      for (std::size_t l = 0; l < W; ++l)
+        st[l] = gr[l] < st[l] ? gr[l] : st[l];
     }
     for (std::size_t l = 0; l < W; ++l) st[l] *= rule.weight;
     double* const out = acts + rule.consequent * W;
-    switch (options_.s_norm) {
-      case SNorm::kMaximum:
-        for (std::size_t l = 0; l < W; ++l)
-          out[l] = out[l] > st[l] ? out[l] : st[l];
-        break;
-      case SNorm::kProbabilisticSum:
-        for (std::size_t l = 0; l < W; ++l)
-          out[l] = out[l] + st[l] - out[l] * st[l];
-        break;
-      case SNorm::kBoundedSum:
-        for (std::size_t l = 0; l < W; ++l) {
-          const double sum = out[l] + st[l];
-          out[l] = sum < 1.0 ? sum : 1.0;
-        }
-        break;
-    }
+    for (std::size_t l = 0; l < W; ++l)
+      out[l] = out[l] > st[l] ? out[l] : st[l];
   }
 }
 
@@ -202,41 +181,19 @@ __attribute__((target("avx2"))) void InferenceEngine::infer_lanes_simd(
   const std::uint32_t* const slots = rule_slots_.data();
   for (const FlatRule& rule : flat_rules_) {
     __m256d st0 = ones, st1 = ones;
-    if (options_.t_norm == TNorm::kMinimum) {
-      for (std::uint32_t i = 0; i < rule.count; ++i) {
-        const double* const gr = grades + slots[rule.first + i] * W;
-        // g < st ? g : st == min(g, st); grades are never NaN here.
-        st0 = _mm256_min_pd(_mm256_loadu_pd(gr), st0);
-        st1 = _mm256_min_pd(_mm256_loadu_pd(gr + 4), st1);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < rule.count; ++i) {
-        const double* const gr = grades + slots[rule.first + i] * W;
-        st0 = _mm256_mul_pd(st0, _mm256_loadu_pd(gr));
-        st1 = _mm256_mul_pd(st1, _mm256_loadu_pd(gr + 4));
-      }
+    for (std::uint32_t i = 0; i < rule.count; ++i) {
+      const double* const gr = grades + slots[rule.first + i] * W;
+      // g < st ? g : st == min(g, st); grades are never NaN here.
+      st0 = _mm256_min_pd(_mm256_loadu_pd(gr), st0);
+      st1 = _mm256_min_pd(_mm256_loadu_pd(gr + 4), st1);
     }
     const __m256d wv = _mm256_set1_pd(rule.weight);
     st0 = _mm256_mul_pd(st0, wv);
     st1 = _mm256_mul_pd(st1, wv);
     double* const out = acts + rule.consequent * W;
-    __m256d a0 = _mm256_loadu_pd(out), a1 = _mm256_loadu_pd(out + 4);
-    switch (options_.s_norm) {
-      case SNorm::kMaximum:
-        a0 = _mm256_max_pd(a0, st0);  // acc > st ? acc : st
-        a1 = _mm256_max_pd(a1, st1);
-        break;
-      case SNorm::kProbabilisticSum:
-        a0 = _mm256_sub_pd(_mm256_add_pd(a0, st0), _mm256_mul_pd(a0, st0));
-        a1 = _mm256_sub_pd(_mm256_add_pd(a1, st1), _mm256_mul_pd(a1, st1));
-        break;
-      case SNorm::kBoundedSum:
-        a0 = _mm256_min_pd(_mm256_add_pd(a0, st0), ones);
-        a1 = _mm256_min_pd(_mm256_add_pd(a1, st1), ones);
-        break;
-    }
-    _mm256_storeu_pd(out, a0);
-    _mm256_storeu_pd(out + 4, a1);
+    // acc > st ? acc : st == max(acc, st).
+    _mm256_storeu_pd(out, _mm256_max_pd(_mm256_loadu_pd(out), st0));
+    _mm256_storeu_pd(out + 4, _mm256_max_pd(_mm256_loadu_pd(out + 4), st1));
   }
 }
 

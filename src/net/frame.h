@@ -70,11 +70,10 @@ inline constexpr std::uint8_t kProtocolVersion = 1;
 /// (88 bytes) so the format can grow, far below the read buffer so a
 /// hostile length prefix can never wedge a connection.
 inline constexpr std::uint32_t kMaxPayload = 4096;
-/// Largest arrival_s a request frame may carry (2^32 simulated seconds,
-/// ~136 years).  A hard sanity cap: it keeps every downstream
-/// double->int64 second computation far from overflow regardless of the
-/// server's (tighter, watermark-relative) max-skew horizon.
-inline constexpr double kMaxArrivalS = 4294967296.0;
+/// Largest arrival_s a request frame may carry; the server's max-skew
+/// horizon is tighter and watermark-relative.  Request values are checked
+/// by serve::valid_request, the rule read_trace() applies too.
+using serve::kMaxArrivalS;
 
 enum class FrameType : std::uint8_t {
   kRequest = 1,

@@ -119,6 +119,11 @@ std::vector<StampedRequest> read_trace(std::istream& is) {
     r.req.mobile.position.y = parse_double(cells[11], rowno);
     r.req.mobile.heading_deg = parse_double(cells[12], rowno);
     r.req.mobile.speed_kmh = r.req.speed_kmh;
+    if (!valid_request(r))
+      throw ParseError("trace: invalid request (needs finite numbers, "
+                       "0 <= arrival_s <= 2^32, holding_s >= 0, "
+                       "bandwidth_bu > 0)",
+                       rowno);
     records.push_back(r);
   }
   return records;

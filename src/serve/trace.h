@@ -12,6 +12,7 @@
 // randomness: a trace pins the policy inputs completely.
 #pragma once
 
+#include <cmath>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -28,6 +29,30 @@ struct StampedRequest {
   double holding_s = 0.0;
 };
 
+/// Largest arrival time a request may carry (2^32 simulated seconds,
+/// ~136 years).  A hard sanity cap: it keeps every downstream
+/// double->int64 second computation far from overflow, and stops an absurd
+/// arrival from wedging a server that finalizes every empty second up to it.
+inline constexpr double kMaxArrivalS = 4294967296.0;
+
+/// The request-validity rule shared by the socket decoder
+/// (net::decode_request) and read_trace(): every double is finite (a NaN or
+/// infinity poisons batching and expiry arithmetic), 0 <= now <=
+/// kMaxArrivalS, holding_s >= 0, and bandwidth > 0 (BaseStation::allocate's
+/// precondition).
+inline bool valid_request(const StampedRequest& r) noexcept {
+  const cac::AdmissionRequest& q = r.req;
+  const double doubles[] = {q.now,          q.bandwidth,
+                            q.speed_kmh,    q.angle_deg,
+                            q.distance_m,   r.holding_s,
+                            q.mobile.position.x, q.mobile.position.y,
+                            q.mobile.heading_deg};
+  for (const double v : doubles)
+    if (!std::isfinite(v)) return false;
+  return q.now >= 0.0 && r.holding_s >= 0.0 && q.now <= kMaxArrivalS &&
+         q.bandwidth > 0.0;
+}
+
 /// The trace header line (column order is part of the format).
 extern const char kTraceHeader[];
 
@@ -38,7 +63,8 @@ void write_trace_file(const std::vector<StampedRequest>& records,
                       const std::string& path);
 
 /// Parse a trace CSV.  Throws facsp::ParseError on a malformed header,
-/// unknown enum name, or unparsable number.
+/// unknown enum name, unparsable number, or a row that fails
+/// valid_request().
 std::vector<StampedRequest> read_trace(std::istream& is);
 std::vector<StampedRequest> read_trace_file(const std::string& path);
 

@@ -130,11 +130,24 @@ TEST(ConfigIo, UnknownKeyIsAnError) {
 }
 
 TEST(ConfigIo, BadValueIsAnErrorWithLine) {
-  try {
-    scenario_from_string("seed = 1\ncapacity_bu = fast\n");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.line(), 2);
+  // Non-finite numbers are bad values too: validate()'s `<= 0` range checks
+  // would let NaN through.
+  for (const std::string line :
+       {"capacity_bu = fast", "horizon_s = nan", "horizon_s = inf",
+        "cell_radius_m = nan", "capacity_bu = nan", "sim.epoch_s = nan",
+        "traffic.mean_holding_s = nan"}) {
+    try {
+      scenario_from_string("seed = 1\n" + line + "\n");
+      ADD_FAILURE() << "expected ParseError for '" << line << "'";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 2) << line;
+    }
+    const auto eq = line.find(" = ");
+    ScenarioConfig s;
+    EXPECT_THROW(
+        apply_scenario_key(s, line.substr(0, eq), line.substr(eq + 3)),
+        ConfigError)
+        << line;
   }
 }
 

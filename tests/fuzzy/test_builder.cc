@@ -54,7 +54,7 @@ TEST(VariableBuilder, PropagatesValidationErrors) {
 }
 
 TEST(ControllerBuilder, MixedRuleSourcesCompose) {
-  // rule_table() plus extra textual rules in one controller.
+  // rule_table() plus an extra explicit rule in one controller.
   auto flc = ControllerBuilder("mixed")
                  .input(VariableBuilder("x", 0.0, 1.0)
                             .left_shoulder("lo", 0.0, 1.0)
@@ -64,7 +64,7 @@ TEST(ControllerBuilder, MixedRuleSourcesCompose) {
                              .left_shoulder("s", 0.0, 1.0)
                              .right_shoulder("l", 1.0, 1.0)
                              .build())
-                 .rule("IF x is lo THEN y is s [0.9]")
+                 .rule({"lo"}, "s", 0.9)
                  .rule_table({"s", "l"})
                  .build();
   EXPECT_EQ(flc->rules().size(), 3u);
@@ -86,8 +86,8 @@ TEST(ControllerBuilder, RuleTableValidatedAtBuild) {
   EXPECT_THROW(b.build(), ConfigError);
 }
 
-TEST(ControllerBuilder, InferenceAndDefuzzifierKnobsApplied) {
-  auto make = [](InferenceOptions opt, Defuzzifier d) {
+TEST(ControllerBuilder, DefuzzifierKnobApplied) {
+  auto make = [](Defuzzifier d) {
     return ControllerBuilder("knobs")
         .input(VariableBuilder("x", 0.0, 1.0)
                    .left_shoulder("lo", 0.0, 1.0)
@@ -98,17 +98,14 @@ TEST(ControllerBuilder, InferenceAndDefuzzifierKnobsApplied) {
                     .triangular("l", 0.75, 0.25, 0.25)
                     .build())
         .rule_table({"s", "l"})
-        .inference(opt)
         .defuzzifier(d)
         .build();
   };
-  InferenceOptions prod;
-  prod.t_norm = TNorm::kProduct;
-  const auto a = make({}, Defuzzifier{});
-  const auto b = make(prod, Defuzzifier(DefuzzMethod::kMeanOfMaximum, 1024));
-  EXPECT_EQ(b->inference_options().t_norm, TNorm::kProduct);
+  const auto a = make(Defuzzifier{});
+  const auto b = make(Defuzzifier(DefuzzMethod::kMeanOfMaximum, 1024));
   EXPECT_EQ(b->defuzzifier().method(), DefuzzMethod::kMeanOfMaximum);
-  // Different knobs, measurably different outputs at a blend point.
+  EXPECT_EQ(b->defuzzifier().resolution(), 1024);
+  // Different methods, measurably different outputs at a blend point.
   EXPECT_NE(a->evaluate({0.31}), b->evaluate({0.31}));
 }
 

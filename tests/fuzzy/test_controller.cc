@@ -25,10 +25,10 @@ std::unique_ptr<FuzzyController> tip_controller() {
                   .triangular("medium", 0.15, 0.10, 0.10)
                   .right_shoulder("high", 0.25, 0.10)
                   .build())
-      .rule("IF service is poor THEN tip is low")
-      .rule("IF service is good THEN tip is medium")
-      .rule("IF service is excellent AND food is tasty THEN tip is high")
-      .rule("IF service is excellent AND food is bad THEN tip is medium")
+      .rule({"poor", "*"}, "low")
+      .rule({"good", "*"}, "medium")
+      .rule({"excellent", "tasty"}, "high")
+      .rule({"excellent", "bad"}, "medium")
       .build();
 }
 
@@ -106,7 +106,7 @@ TEST(Controller, BuilderRejectsRuleBeforeOutput) {
               .left_shoulder("lo", 0.0, 1.0)
               .right_shoulder("hi", 1.0, 1.0)
               .build());
-  EXPECT_THROW(b.rule("IF x is lo THEN z is s"), ConfigError);
+  EXPECT_THROW(b.rule({"lo"}, "s"), ConfigError);
 }
 
 TEST(Controller, BuilderRejectsSecondOutput) {

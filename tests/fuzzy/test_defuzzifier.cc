@@ -24,80 +24,65 @@ struct DefuzzFixture : ::testing::Test {
                                   .triangular("pos", 0.5, 0.5, 0.5)
                                   .build();
 
-  OutputFuzzySet activate(std::vector<double> acts) {
-    OutputFuzzySet s;
-    s.activations = std::move(acts);
-    return s;
+  /// Prime a copy of `d` for the fixture output and defuzzify `acts`.
+  double run(Defuzzifier d, const std::vector<double>& acts) {
+    d.prime(output);
+    std::vector<double> mu;
+    return d.defuzzify(acts, output, mu);
   }
 };
 
 TEST_F(DefuzzFixture, CentroidOfSingleSymmetricTerm) {
   const Defuzzifier d(DefuzzMethod::kCentroid, 2048);
-  EXPECT_NEAR(d.defuzzify(activate({1.0, 0.0, 0.0}), output), -0.5, 1e-3);
-  EXPECT_NEAR(d.defuzzify(activate({0.0, 1.0, 0.0}), output), 0.0, 1e-3);
-  EXPECT_NEAR(d.defuzzify(activate({0.0, 0.0, 1.0}), output), 0.5, 1e-3);
+  EXPECT_NEAR(run(d, {1.0, 0.0, 0.0}), -0.5, 1e-3);
+  EXPECT_NEAR(run(d, {0.0, 1.0, 0.0}), 0.0, 1e-3);
+  EXPECT_NEAR(run(d, {0.0, 0.0, 1.0}), 0.5, 1e-3);
 }
 
 TEST_F(DefuzzFixture, CentroidOfBalancedMixIsZero) {
   const Defuzzifier d(DefuzzMethod::kCentroid, 2048);
-  EXPECT_NEAR(d.defuzzify(activate({0.7, 0.0, 0.7}), output), 0.0, 1e-3);
+  EXPECT_NEAR(run(d, {0.7, 0.0, 0.7}), 0.0, 1e-3);
 }
 
 TEST_F(DefuzzFixture, CentroidShiftsTowardStrongerTerm) {
   const Defuzzifier d(DefuzzMethod::kCentroid, 2048);
-  const double toward_pos = d.defuzzify(activate({0.2, 0.0, 0.8}), output);
+  const double toward_pos = run(d, {0.2, 0.0, 0.8});
   EXPECT_GT(toward_pos, 0.15);
   EXPECT_LT(toward_pos, 0.5);
 }
 
 TEST_F(DefuzzFixture, EmptySetGivesUniverseMidpoint) {
   const Defuzzifier d;
-  EXPECT_DOUBLE_EQ(d.defuzzify(activate({0.0, 0.0, 0.0}), output), 0.0);
+  EXPECT_DOUBLE_EQ(run(d, {0.0, 0.0, 0.0}), 0.0);
 }
 
 TEST_F(DefuzzFixture, BisectorMatchesCentroidOnSymmetricSets) {
   const Defuzzifier c(DefuzzMethod::kCentroid, 4096);
   const Defuzzifier b(DefuzzMethod::kBisector, 4096);
-  const auto set = activate({0.0, 1.0, 0.0});
-  EXPECT_NEAR(b.defuzzify(set, output), c.defuzzify(set, output), 5e-3);
+  const std::vector<double> set = {0.0, 1.0, 0.0};
+  EXPECT_NEAR(run(b, set), run(c, set), 5e-3);
 }
 
 TEST_F(DefuzzFixture, MeanOfMaximumPicksPlateauCenter) {
   const Defuzzifier mom(DefuzzMethod::kMeanOfMaximum, 4096);
   // Clipping 'pos' at 0.6 gives a plateau centred at its peak 0.5.
-  EXPECT_NEAR(mom.defuzzify(activate({0.0, 0.0, 0.6}), output), 0.5, 5e-3);
-}
-
-TEST_F(DefuzzFixture, SmallestAndLargestOfMaximumBracketMean) {
-  const auto set = activate({0.0, 0.0, 0.6});
-  const Defuzzifier som(DefuzzMethod::kSmallestOfMaximum, 4096);
-  const Defuzzifier lom(DefuzzMethod::kLargestOfMaximum, 4096);
-  const Defuzzifier mom(DefuzzMethod::kMeanOfMaximum, 4096);
-  const double lo = som.defuzzify(set, output);
-  const double hi = lom.defuzzify(set, output);
-  const double mid = mom.defuzzify(set, output);
-  EXPECT_LT(lo, mid);
-  EXPECT_LT(mid, hi);
-  // Plateau of 'pos' clipped at 0.6: from 0.5-0.2 to 0.5+0.2.
-  EXPECT_NEAR(lo, 0.3, 5e-3);
-  EXPECT_NEAR(hi, 0.7, 5e-3);
+  EXPECT_NEAR(run(mom, {0.0, 0.0, 0.6}), 0.5, 5e-3);
 }
 
 TEST_F(DefuzzFixture, WeightedAverageUsesCoreCenters) {
   const Defuzzifier w(DefuzzMethod::kWeightedAverage);
-  EXPECT_NEAR(w.defuzzify(activate({0.0, 0.25, 0.75}), output),
+  EXPECT_NEAR(run(w, {0.0, 0.25, 0.75}),
               (0.25 * 0.0 + 0.75 * 0.5) / 1.0, 1e-9);
 }
 
 TEST_F(DefuzzFixture, ResultAlwaysInsideUniverse) {
   for (auto method :
        {DefuzzMethod::kCentroid, DefuzzMethod::kBisector,
-        DefuzzMethod::kMeanOfMaximum, DefuzzMethod::kSmallestOfMaximum,
-        DefuzzMethod::kLargestOfMaximum, DefuzzMethod::kWeightedAverage}) {
+        DefuzzMethod::kMeanOfMaximum, DefuzzMethod::kWeightedAverage}) {
     const Defuzzifier d(method, 512);
     for (double a = 0.0; a <= 1.0; a += 0.25) {
       for (double b = 0.0; b <= 1.0; b += 0.25) {
-        const double y = d.defuzzify(activate({a, 0.1, b}), output);
+        const double y = run(d, {a, 0.1, b});
         EXPECT_GE(y, output.universe_lo()) << to_string(method);
         EXPECT_LE(y, output.universe_hi()) << to_string(method);
       }
@@ -110,34 +95,50 @@ TEST_F(DefuzzFixture, ResolutionValidation) {
   EXPECT_NO_THROW(Defuzzifier(DefuzzMethod::kCentroid, 8));
 }
 
-// --- golden parity: table-driven fast path vs naive reference --------------
+TEST_F(DefuzzFixture, GridMethodsRequireAPrimedGrid) {
+  // Every grid method needs prime(output) first — even for an empty set;
+  // weighted average reads only term core centres and needs no grid.
+  std::vector<double> mu;
+  const std::vector<double> acts = {0.2, 0.0, 0.8};
+  for (auto method : {DefuzzMethod::kCentroid, DefuzzMethod::kBisector,
+                      DefuzzMethod::kMeanOfMaximum}) {
+    const Defuzzifier d(method, 101);
+    EXPECT_FALSE(d.primed_for(output));
+    EXPECT_THROW(d.defuzzify(acts, output, mu), ContractViolation)
+        << to_string(method);
+    EXPECT_THROW(d.defuzzify(std::vector<double>{0.0, 0.0, 0.0}, output, mu),
+                 ContractViolation)
+        << to_string(method);
+  }
+  const Defuzzifier w(DefuzzMethod::kWeightedAverage);
+  EXPECT_DOUBLE_EQ(w.defuzzify(acts, output, mu), 0.8 * 0.5 + 0.2 * -0.5);
+}
+
+// --- golden parity: table-driven grid path vs naive reference --------------
 //
 // The reference below is written independently of defuzzifier.cc: it samples
-// the aggregated membership straight from the term membership functions.
-// The primed (grid) path must agree to 1e-12 for every method, resolution,
-// s-norm and implication combination.
+// the aggregated membership (max over terms of the clipped term) straight
+// from the term membership functions.  The primed grid path must agree to
+// 1e-12 for every grid method and resolution.
 
 double reference_grade(const LinguisticVariable& output,
-                       std::span<const double> acts, Implication impl,
-                       SNorm agg, double y) {
+                       std::span<const double> acts, double y) {
   double acc = 0.0;
   for (std::size_t k = 0; k < acts.size(); ++k) {
     if (acts[k] <= 0.0) continue;
-    const double clipped =
-        apply_implication(impl, acts[k], output.term(k).mf.grade(y));
-    acc = apply_snorm(agg, acc, clipped);
+    acc = std::max(acc, std::min(acts[k], output.term(k).mf.grade(y)));
   }
   return acc;
 }
 
-double reference_defuzzify(DefuzzMethod method, int res, SNorm agg,
+double reference_defuzzify(DefuzzMethod method, int res,
                            const LinguisticVariable& output,
-                           std::span<const double> acts, Implication impl) {
+                           std::span<const double> acts) {
   const double lo = output.universe_lo();
   const double hi = output.universe_hi();
   const double dy = (hi - lo) / (res - 1);
   auto grade = [&](int i) {
-    return reference_grade(output, acts, impl, agg, lo + i * dy);
+    return reference_grade(output, acts, lo + i * dy);
   };
   switch (method) {
     case DefuzzMethod::kCentroid: {
@@ -160,23 +161,18 @@ double reference_defuzzify(DefuzzMethod method, int res, SNorm agg,
       }
       return hi;
     }
-    default: {
+    default: {  // mean of maximum
       double max_mu = 0.0;
       for (int i = 0; i < res; ++i) max_mu = std::max(max_mu, grade(i));
       if (max_mu <= 0.0) return 0.5 * (lo + hi);
-      double first = hi, last = lo, sum = 0.0;
+      double sum = 0.0;
       int count = 0;
       for (int i = 0; i < res; ++i) {
         if (grade(i) >= max_mu - 1e-9) {
-          const double y = lo + i * dy;
-          first = std::min(first, y);
-          last = std::max(last, y);
-          sum += y;
+          sum += lo + i * dy;
           ++count;
         }
       }
-      if (method == DefuzzMethod::kSmallestOfMaximum) return first;
-      if (method == DefuzzMethod::kLargestOfMaximum) return last;
       return sum / count;
     }
   }
@@ -194,15 +190,9 @@ class DefuzzGoldenParity : public ::testing::Test {
                                   .right_shoulder("A", 0.6, 0.3)
                                   .build();
 
-  static constexpr DefuzzMethod kMethods[] = {
-      DefuzzMethod::kCentroid, DefuzzMethod::kBisector,
-      DefuzzMethod::kMeanOfMaximum, DefuzzMethod::kSmallestOfMaximum,
-      DefuzzMethod::kLargestOfMaximum};
-  static constexpr SNorm kSNorms[] = {SNorm::kMaximum,
-                                      SNorm::kProbabilisticSum,
-                                      SNorm::kBoundedSum};
-  static constexpr Implication kImplications[] = {Implication::kMinimum,
-                                                  Implication::kProduct};
+  static constexpr DefuzzMethod kMethods[] = {DefuzzMethod::kCentroid,
+                                              DefuzzMethod::kBisector,
+                                              DefuzzMethod::kMeanOfMaximum};
   static constexpr int kResolutions[] = {8, 101, 1001};
 
   std::vector<std::vector<double>> activation_sets = {
@@ -217,60 +207,17 @@ TEST_F(DefuzzGoldenParity, GridPathMatchesNaiveReference) {
   std::vector<double> mu_scratch;
   for (auto method : kMethods) {
     for (int res : kResolutions) {
-      for (auto agg : kSNorms) {
-        for (auto impl : kImplications) {
-          Defuzzifier fast(method, res, agg);
-          // Pin the grid path: this suite checks the sampled tables, not the
-          // closed-form centroid (covered by DefuzzAnalyticCentroid below).
-          fast.set_analytic_centroid(false);
-          fast.prime(output);
-          ASSERT_TRUE(fast.primed_for(output));
-          for (const auto& acts : activation_sets) {
-            const double expect =
-                reference_defuzzify(method, res, agg, output, acts, impl);
-            const double got = fast.defuzzify(acts, impl, output, mu_scratch);
-            EXPECT_NEAR(got, expect, 1e-12)
-                << to_string(method) << " res=" << res
-                << " snorm=" << static_cast<int>(agg)
-                << " impl=" << static_cast<int>(impl);
-          }
-        }
+      Defuzzifier fast(method, res);
+      // Pin the grid path: this suite checks the sampled tables, not the
+      // closed-form centroid (covered by DefuzzAnalyticCentroid below).
+      fast.set_analytic_centroid(false);
+      fast.prime(output);
+      ASSERT_TRUE(fast.primed_for(output));
+      for (const auto& acts : activation_sets) {
+        const double expect = reference_defuzzify(method, res, output, acts);
+        EXPECT_NEAR(fast.defuzzify(acts, output, mu_scratch), expect, 1e-12)
+            << to_string(method) << " res=" << res;
       }
-    }
-  }
-}
-
-TEST_F(DefuzzGoldenParity, UnprimedFallbackMatchesNaiveReference) {
-  std::vector<double> mu_scratch;
-  for (auto method : kMethods) {
-    for (auto agg : kSNorms) {
-      for (auto impl : kImplications) {
-        Defuzzifier naive(method, 101, agg);  // never primed
-        naive.set_analytic_centroid(false);   // grid parity, as above
-        ASSERT_FALSE(naive.primed_for(output));
-        for (const auto& acts : activation_sets) {
-          const double expect =
-              reference_defuzzify(method, 101, agg, output, acts, impl);
-          EXPECT_NEAR(naive.defuzzify(acts, impl, output, mu_scratch), expect,
-                      1e-12)
-              << to_string(method);
-        }
-      }
-    }
-  }
-}
-
-TEST_F(DefuzzGoldenParity, LegacySetOverloadTakesTheSamePath) {
-  for (auto method : kMethods) {
-    Defuzzifier fast(method, 101);
-    fast.prime(output);
-    const Defuzzifier naive(method, 101);
-    for (const auto& acts : activation_sets) {
-      OutputFuzzySet set;
-      set.activations = acts;
-      EXPECT_NEAR(fast.defuzzify(set, output), naive.defuzzify(set, output),
-                  1e-12)
-          << to_string(method);
     }
   }
 }
@@ -285,15 +232,10 @@ TEST_F(DefuzzGoldenParity, PrimeIsKeyedByVariableIdentity) {
                                        .build();
   EXPECT_TRUE(d.primed_for(output));
   EXPECT_FALSE(d.primed_for(other));
-  // A foreign variable silently takes the naive path and still agrees with
-  // the reference.
+  // A foreign variable is a precondition violation, not a silent fallback.
   std::vector<double> mu;
-  const std::vector<double> acts = {0.2, 0.0, 0.8};
-  EXPECT_NEAR(d.defuzzify(acts, Implication::kMinimum, other, mu),
-              reference_defuzzify(DefuzzMethod::kCentroid, 101,
-                                  SNorm::kMaximum, other, acts,
-                                  Implication::kMinimum),
-              1e-12);
+  EXPECT_THROW(d.defuzzify(std::vector<double>{0.2, 0.0, 0.8}, other, mu),
+               ContractViolation);
 }
 
 // --- analytic centroid ------------------------------------------------------
@@ -302,8 +244,8 @@ TEST_F(DefuzzGoldenParity, PrimeIsKeyedByVariableIdentity) {
 // independent* exact reference: recursive adaptive subdivision that probes
 // each interval for linearity (midpoint + golden-ratio point against the
 // chord) and integrates area/moment with the trapezoid rule only where the
-// aggregated membership is verified linear.  Both implications make the
-// membership piecewise linear, so the reference is exact up to rounding and
+// aggregated membership is verified linear.  Clipping keeps the membership
+// piecewise linear, so the reference is exact up to rounding and
 // the two must agree to 1e-9 — far below anything a fixed grid can certify
 // (an 8192-point trapezoid grid has O(h^2) ~ 1e-7 kink error; the grid
 // comparison below therefore uses a justified looser tolerance).
@@ -336,8 +278,8 @@ void adaptive_integrate(const F& f, double x0, double x1, double f0, double f1,
 }
 
 /// Exact area/moment of the aggregated membership.  The integration is
-/// seeded with every *known* kink candidate — term breakpoints and (for the
-/// clipping implication) the alpha-cut corners — because probing alone can
+/// seeded with every *known* kink candidate — term breakpoints and the
+/// alpha-cut corners — because probing alone can
 /// miss a feature that lies strictly between samples (e.g. a narrow term
 /// whose support sits inside an interval that reads 0 at every probe).
 /// Between seeded points each term's implicated membership is affine, so
@@ -345,19 +287,16 @@ void adaptive_integrate(const F& f, double x0, double x1, double f0, double f1,
 /// midpoint strictly below the chord and the adaptive recursion is
 /// guaranteed to find it.
 ExactIntegral exact_integral(const LinguisticVariable& output,
-                             std::span<const double> acts, Implication impl) {
+                             std::span<const double> acts) {
   const double lo = output.universe_lo();
   const double hi = output.universe_hi();
-  auto mu = [&](double y) {
-    return reference_grade(output, acts, impl, SNorm::kMaximum, y);
-  };
+  auto mu = [&](double y) { return reference_grade(output, acts, y); };
   std::vector<double> cuts = {lo, hi};
   for (std::size_t k = 0; k < output.term_count(); ++k) {
     const MembershipFunction& mf = output.term(k).mf;
     for (double y : {mf.a(), mf.b(), mf.c(), mf.d()})
       if (y > lo && y < hi) cuts.push_back(y);
-    if (acts[k] > 0.0 && acts[k] < 1.0 && impl == Implication::kMinimum &&
-        !mf.is_singleton()) {
+    if (acts[k] > 0.0 && acts[k] < 1.0 && !mf.is_singleton()) {
       for (double y : {mf.alpha_cut_lo(acts[k]), mf.alpha_cut_hi(acts[k])})
         if (std::isfinite(y) && y > lo && y < hi) cuts.push_back(y);
     }
@@ -436,22 +375,20 @@ TEST(DefuzzAnalyticCentroid, MatchesAdaptiveExactReference) {
   for (int v = 0; v < 120; ++v) {
     const LinguisticVariable output =
         random_partition_variable(rng, /*shoulder_ends=*/v % 2 == 0);
-    for (auto impl : {Implication::kMinimum, Implication::kProduct}) {
-      Defuzzifier d(DefuzzMethod::kCentroid, 64, SNorm::kMaximum);
-      ASSERT_TRUE(d.analytic_applicable(output, impl));
-      if (v % 3 == 0) d.prime(output);  // both primed and unprimed dispatch
-      for (int t = 0; t < 4; ++t) {
-        const auto acts = random_activations(rng, output.term_count());
-        // Skip near-empty sets: centroid = moment/area is ill-conditioned
-        // when the area is a sliver (both sides would need looser bounds).
-        const ExactIntegral ref = exact_integral(output, acts, impl);
-        if (ref.area < 1e-6) continue;
-        ++checked;
-        EXPECT_NEAR(d.defuzzify(acts, impl, output, mu_scratch),
-                    ref.moment / ref.area, 1e-9)
-            << "variable " << v << " trial " << t
-            << " impl=" << static_cast<int>(impl);
-      }
+    Defuzzifier d(DefuzzMethod::kCentroid, 64);
+    ASSERT_TRUE(d.analytic_applicable(output));
+    d.prime(output);
+    ASSERT_TRUE(d.analytic_applicable(output));
+    for (int t = 0; t < 8; ++t) {
+      const auto acts = random_activations(rng, output.term_count());
+      // Skip near-empty sets: centroid = moment/area is ill-conditioned
+      // when the area is a sliver (both sides would need looser bounds).
+      const ExactIntegral ref = exact_integral(output, acts);
+      if (ref.area < 1e-6) continue;
+      ++checked;
+      EXPECT_NEAR(d.defuzzify(acts, output, mu_scratch),
+                  ref.moment / ref.area, 1e-9)
+          << "variable " << v << " trial " << t;
     }
   }
   EXPECT_GT(checked, 500);  // the skip guard must not hollow out the test
@@ -469,64 +406,51 @@ TEST(DefuzzAnalyticCentroid, HighResGridAgreesWithinItsErrorBound) {
   for (int v = 0; v < 25; ++v) {
     const LinguisticVariable output =
         random_partition_variable(rng, v % 2 == 0);
-    for (auto impl : {Implication::kMinimum, Implication::kProduct}) {
-      Defuzzifier analytic(DefuzzMethod::kCentroid, 64, SNorm::kMaximum);
-      Defuzzifier grid(DefuzzMethod::kCentroid, 8192, SNorm::kMaximum);
-      grid.set_analytic_centroid(false);
-      grid.prime(output);
-      for (int t = 0; t < 3; ++t) {
-        const auto acts = random_activations(rng, output.term_count());
-        const double g = grid.defuzzify(acts, impl, output, mu_scratch);
-        const double a = analytic.defuzzify(acts, impl, output, mu_scratch);
-        if (std::none_of(acts.begin(), acts.end(),
-                         [](double x) { return x > 0.05; }))
-          continue;
-        EXPECT_NEAR(a, g, 1e-4) << "variable " << v << " trial " << t;
-      }
+    Defuzzifier analytic(DefuzzMethod::kCentroid, 64);
+    Defuzzifier grid(DefuzzMethod::kCentroid, 8192);
+    grid.set_analytic_centroid(false);
+    analytic.prime(output);
+    grid.prime(output);
+    for (int t = 0; t < 6; ++t) {
+      const auto acts = random_activations(rng, output.term_count());
+      const double g = grid.defuzzify(acts, output, mu_scratch);
+      const double a = analytic.defuzzify(acts, output, mu_scratch);
+      if (std::none_of(acts.begin(), acts.end(),
+                       [](double x) { return x > 0.05; }))
+        continue;
+      EXPECT_NEAR(a, g, 1e-4) << "variable " << v << " trial " << t;
     }
   }
 }
 
-TEST(DefuzzAnalyticCentroid, UnsupportedCombosFallBackToGridBitwise) {
-  // Every (method, s-norm, implication) outside the supported set must take
-  // the grid path even with analytic centroids enabled: bitwise-identical
-  // results to a twin with the analytic path disabled.
+TEST(DefuzzAnalyticCentroid, OtherMethodsIgnoreTheAnalyticSwitch) {
+  // Only the centroid has a closed form: bisector, mean-of-maximum and
+  // weighted average must give bitwise-identical results with the analytic
+  // path enabled or disabled.
   std::mt19937_64 rng(7);
   const LinguisticVariable output = random_partition_variable(rng, true);
   std::vector<double> mu1, mu2;
-  for (auto method :
-       {DefuzzMethod::kCentroid, DefuzzMethod::kBisector,
-        DefuzzMethod::kMeanOfMaximum, DefuzzMethod::kWeightedAverage}) {
-    for (auto agg : {SNorm::kMaximum, SNorm::kProbabilisticSum,
-                     SNorm::kBoundedSum}) {
-      for (auto impl : {Implication::kMinimum, Implication::kProduct}) {
-        const bool supported =
-            Defuzzifier::analytic_supported(method, agg, impl);
-        EXPECT_EQ(supported,
-                  method == DefuzzMethod::kCentroid && agg == SNorm::kMaximum)
-            << to_string(method);
-        if (supported) continue;
-        Defuzzifier on(method, 101, agg);
-        Defuzzifier off(method, 101, agg);
-        off.set_analytic_centroid(false);
-        EXPECT_FALSE(on.analytic_applicable(output, impl));
-        on.prime(output);
-        off.prime(output);
-        for (int t = 0; t < 3; ++t) {
-          const auto acts = random_activations(rng, output.term_count());
-          EXPECT_EQ(on.defuzzify(acts, impl, output, mu1),
-                    off.defuzzify(acts, impl, output, mu2))
-              << to_string(method) << " agg=" << static_cast<int>(agg);
-        }
-      }
+  for (auto method : {DefuzzMethod::kBisector, DefuzzMethod::kMeanOfMaximum,
+                      DefuzzMethod::kWeightedAverage}) {
+    Defuzzifier on(method, 101);
+    Defuzzifier off(method, 101);
+    off.set_analytic_centroid(false);
+    EXPECT_FALSE(on.analytic_applicable(output)) << to_string(method);
+    on.prime(output);
+    off.prime(output);
+    for (int t = 0; t < 6; ++t) {
+      const auto acts = random_activations(rng, output.term_count());
+      EXPECT_EQ(on.defuzzify(acts, output, mu1),
+                off.defuzzify(acts, output, mu2))
+          << to_string(method);
     }
   }
 }
 
 TEST(DefuzzAnalyticCentroid, NonPartitionLayoutFallsBackToGridBitwise) {
   // A wide term overlapping a non-adjacent one breaks the adjacent-overlap
-  // precondition; the dispatch must detect it (primed and unprimed) and use
-  // the grid, bitwise-identical to an analytic-off twin.
+  // precondition; the dispatch must detect it and use the grid,
+  // bitwise-identical to an analytic-off twin.
   const LinguisticVariable output =
       VariableBuilder("bad", -1.0, 1.0)
           .term("wide", MembershipFunction::from_breakpoints(-1.0, -0.2, 0.2,
@@ -537,17 +461,15 @@ TEST(DefuzzAnalyticCentroid, NonPartitionLayoutFallsBackToGridBitwise) {
                                                            1.0))
           .build();
   Defuzzifier on(DefuzzMethod::kCentroid, 101);
-  EXPECT_FALSE(on.analytic_applicable(output, Implication::kMinimum));
+  EXPECT_FALSE(on.analytic_applicable(output));
   Defuzzifier off(DefuzzMethod::kCentroid, 101);
   off.set_analytic_centroid(false);
-  std::vector<double> mu1, mu2;
-  const std::vector<double> acts = {0.4, 0.9, 0.6};
-  EXPECT_EQ(on.defuzzify(acts, Implication::kMinimum, output, mu1),
-            off.defuzzify(acts, Implication::kMinimum, output, mu2));
   on.prime(output);
   off.prime(output);
-  EXPECT_EQ(on.defuzzify(acts, Implication::kMinimum, output, mu1),
-            off.defuzzify(acts, Implication::kMinimum, output, mu2));
+  EXPECT_FALSE(on.analytic_applicable(output));
+  std::vector<double> mu1, mu2;
+  const std::vector<double> acts = {0.4, 0.9, 0.6};
+  EXPECT_EQ(on.defuzzify(acts, output, mu1), off.defuzzify(acts, output, mu2));
 }
 
 TEST(DefuzzAnalyticCentroid, ApplicableToThePaperVariables) {
@@ -563,64 +485,16 @@ TEST(DefuzzAnalyticCentroid, ApplicableToThePaperVariables) {
                                     .right_shoulder("A", 0.6, 0.3)
                                     .build();
   const Defuzzifier d(DefuzzMethod::kCentroid, 256);
-  EXPECT_TRUE(d.analytic_applicable(cv, Implication::kMinimum));
-  EXPECT_TRUE(d.analytic_applicable(ar, Implication::kMinimum));
-  EXPECT_TRUE(d.analytic_applicable(ar, Implication::kProduct));
+  EXPECT_TRUE(d.analytic_applicable(cv));
+  EXPECT_TRUE(d.analytic_applicable(ar));
 }
 
-TEST(DefuzzResolutionTuner, MeetsRequestedBoundOnPaperOutput) {
-  const LinguisticVariable ar = VariableBuilder("ar", -1.0, 1.0)
-                                    .left_shoulder("R", -0.6, 0.3)
-                                    .triangular("WR", -0.3, 0.3, 0.3)
-                                    .triangular("NRNA", 0.0, 0.3, 0.3)
-                                    .triangular("WA", 0.3, 0.3, 0.3)
-                                    .right_shoulder("A", 0.6, 0.3)
-                                    .build();
-  const ResolutionTuning coarse = tune_centroid_resolution(
-      ar, Implication::kMinimum, SNorm::kMaximum, 1e-2);
-  EXPECT_TRUE(coarse.met_bound);
-  EXPECT_LE(coarse.max_abs_error, 1e-2);
-  EXPECT_GE(coarse.resolution, 8);
-  const ResolutionTuning fine = tune_centroid_resolution(
-      ar, Implication::kMinimum, SNorm::kMaximum, 1e-5);
-  EXPECT_TRUE(fine.met_bound);
-  EXPECT_LE(fine.max_abs_error, 1e-5);
-  // A tighter bound can never be met by a coarser grid.
-  EXPECT_GE(fine.resolution, coarse.resolution);
-}
-
-TEST(DefuzzResolutionTuner, ReportsUnmetBoundAndRejectsUnsupported) {
-  const LinguisticVariable ar = VariableBuilder("ar", -1.0, 1.0)
-                                    .left_shoulder("R", -0.6, 0.3)
-                                    .triangular("WR", -0.3, 0.3, 0.3)
-                                    .triangular("NRNA", 0.0, 0.3, 0.3)
-                                    .triangular("WA", 0.3, 0.3, 0.3)
-                                    .right_shoulder("A", 0.6, 0.3)
-                                    .build();
-  // An absurd bound cannot be met by any grid up to the cap; the result
-  // must say so rather than lie.
-  const ResolutionTuning t = tune_centroid_resolution(
-      ar, Implication::kMinimum, SNorm::kMaximum, 1e-14, 8, 64);
-  EXPECT_FALSE(t.met_bound);
-  EXPECT_EQ(t.resolution, 64);
-  EXPECT_GT(t.max_abs_error, 1e-14);
-  // Without an analytic reference there is nothing to tune against.
-  EXPECT_THROW(tune_centroid_resolution(ar, Implication::kMinimum,
-                                        SNorm::kProbabilisticSum, 1e-3),
-               facsp::ConfigError);
-  EXPECT_THROW(tune_centroid_resolution(ar, Implication::kMinimum,
-                                        SNorm::kMaximum, 0.0),
-               facsp::ConfigError);
-}
-
-TEST(DefuzzMethodNames, RoundTrip) {
-  for (auto m :
-       {DefuzzMethod::kCentroid, DefuzzMethod::kBisector,
-        DefuzzMethod::kMeanOfMaximum, DefuzzMethod::kSmallestOfMaximum,
-        DefuzzMethod::kLargestOfMaximum, DefuzzMethod::kWeightedAverage}) {
-    EXPECT_EQ(defuzz_method_from_string(to_string(m)), m);
-  }
-  EXPECT_THROW(defuzz_method_from_string("nonsense"), facsp::ConfigError);
+TEST(DefuzzMethodNames, ShortLabels) {
+  // The ablation bench labels its curves and CSV columns with these.
+  EXPECT_STREQ(to_string(DefuzzMethod::kCentroid), "centroid");
+  EXPECT_STREQ(to_string(DefuzzMethod::kBisector), "bisector");
+  EXPECT_STREQ(to_string(DefuzzMethod::kMeanOfMaximum), "mom");
+  EXPECT_STREQ(to_string(DefuzzMethod::kWeightedAverage), "wavg");
 }
 
 }  // namespace

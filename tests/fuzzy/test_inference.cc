@@ -5,10 +5,23 @@
 #include "common/error.h"
 
 #include "fuzzy/builder.h"
-#include "fuzzy/rule_parser.h"
 
 namespace facsp::fuzzy {
 namespace {
+
+// Term indices of the fixture variables.
+constexpr std::size_t kLo = 0, kHi = 1;           // inputs x and y
+constexpr std::size_t kSmall = 0, kMid = 1, kLarge = 2;  // output z
+constexpr std::size_t kAny = FuzzyRule::kAny;
+
+FuzzyRule rule(std::size_t x, std::size_t y, std::size_t z,
+               double weight = 1.0) {
+  FuzzyRule r;
+  r.antecedents = {x, y};
+  r.consequent = z;
+  r.weight = weight;
+  return r;
+}
 
 struct InferenceFixture : ::testing::Test {
   std::vector<LinguisticVariable> inputs;
@@ -17,6 +30,7 @@ struct InferenceFixture : ::testing::Test {
                                   .triangular("mid", 0.5, 0.25, 0.25)
                                   .right_shoulder("large", 0.75, 0.5)
                                   .build();
+  InferenceScratch scratch;
 
   InferenceFixture() {
     inputs.push_back(VariableBuilder("x", 0.0, 10.0)
@@ -29,98 +43,59 @@ struct InferenceFixture : ::testing::Test {
                          .build());
   }
 
-  std::vector<FuzzyRule> rules(const std::vector<std::string>& texts) {
-    std::vector<FuzzyRule> out;
-    for (const auto& t : texts) out.push_back(parse_rule(t, inputs, output));
-    return out;
+  /// Per-term activations of the untraced fast path.
+  const std::vector<double>& infer(const InferenceEngine& engine,
+                                   std::vector<double> in) {
+    engine.infer_into(in, scratch);
+    return scratch.activations;
   }
 };
 
-TEST_F(InferenceFixture, MinTNormFiringStrength) {
-  const auto rs = rules({"IF x is lo AND y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
+TEST_F(InferenceFixture, MinOfAntecedentGradesIsFiringStrength) {
+  const RuleBase rb({rule(kLo, kLo, kSmall)}, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
   // x=2 -> mu_lo = 0.8; y=5 -> mu_lo = 0.5; min = 0.5.
-  const auto res = engine.infer(std::vector<double>{2.0, 5.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.5);
-  EXPECT_DOUBLE_EQ(res.activations[1], 0.0);
-  EXPECT_DOUBLE_EQ(res.activations[2], 0.0);
+  const auto& acts = infer(engine, {2.0, 5.0});
+  EXPECT_DOUBLE_EQ(acts[0], 0.5);
+  EXPECT_DOUBLE_EQ(acts[1], 0.0);
+  EXPECT_DOUBLE_EQ(acts[2], 0.0);
 }
 
-TEST_F(InferenceFixture, ProductTNorm) {
-  const auto rs = rules({"IF x is lo AND y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
-  InferenceOptions opt;
-  opt.t_norm = TNorm::kProduct;
-  const InferenceEngine engine(inputs, output, rb, opt);
-  const auto res = engine.infer(std::vector<double>{2.0, 5.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.8 * 0.5);
-}
-
-TEST_F(InferenceFixture, MaxSNormAggregatesSameConsequent) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
+TEST_F(InferenceFixture, MaxAggregatesSameConsequent) {
+  const RuleBase rb({rule(kLo, kAny, kSmall), rule(kAny, kLo, kSmall)},
+                    inputs, output);
   const InferenceEngine engine(inputs, output, rb);
   // mu_lo(x=2)=0.8, mu_lo(y=6)=0.4 -> max 0.8.
-  const auto res = engine.infer(std::vector<double>{2.0, 6.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.8);
-}
-
-TEST_F(InferenceFixture, ProbabilisticSumSNorm) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
-  InferenceOptions opt;
-  opt.s_norm = SNorm::kProbabilisticSum;
-  const InferenceEngine engine(inputs, output, rb, opt);
-  const auto res = engine.infer(std::vector<double>{2.0, 6.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.8 + 0.4 - 0.8 * 0.4);
-}
-
-TEST_F(InferenceFixture, BoundedSumSNorm) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF y is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
-  InferenceOptions opt;
-  opt.s_norm = SNorm::kBoundedSum;
-  const InferenceEngine engine(inputs, output, rb, opt);
-  const auto res = engine.infer(std::vector<double>{1.0, 2.0});  // 0.9 + 0.8
-  EXPECT_DOUBLE_EQ(res.activations[0], 1.0);
+  EXPECT_DOUBLE_EQ(infer(engine, {2.0, 6.0})[0], 0.8);
 }
 
 TEST_F(InferenceFixture, RuleWeightScalesStrength) {
-  auto rs = rules({"IF x is lo THEN z is small [0.5]"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb({rule(kLo, kAny, kSmall, 0.5)}, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  const auto res = engine.infer(std::vector<double>{0.0, 0.0});
-  EXPECT_DOUBLE_EQ(res.activations[0], 0.5);
+  EXPECT_DOUBLE_EQ(infer(engine, {0.0, 0.0})[0], 0.5);
 }
 
 TEST_F(InferenceFixture, WildcardIgnoresThatInput) {
-  const auto rs = rules({"IF y is hi THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb({rule(kAny, kHi, kLarge)}, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  for (double x : {0.0, 5.0, 10.0}) {
-    const auto res = engine.infer(std::vector<double>{x, 10.0});
-    EXPECT_DOUBLE_EQ(res.activations[2], 1.0) << "x=" << x;
-  }
+  for (double x : {0.0, 5.0, 10.0})
+    EXPECT_DOUBLE_EQ(infer(engine, {x, 10.0})[2], 1.0) << "x=" << x;
 }
 
 TEST_F(InferenceFixture, NoRuleFiresGivesEmptySet) {
-  const auto rs = rules({"IF x is hi AND y is hi THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb({rule(kHi, kHi, kLarge)}, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  const auto res = engine.infer(std::vector<double>{0.0, 0.0});
+  std::vector<FiredRule> fired;
+  const auto res = engine.infer_traced(std::vector<double>{0.0, 0.0}, fired);
   EXPECT_TRUE(res.empty());
   EXPECT_DOUBLE_EQ(res.height(), 0.0);
+  EXPECT_TRUE(fired.empty());
 }
 
 TEST_F(InferenceFixture, TracedReportsFiredRulesDescending) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF y is lo THEN z is mid",
-                         "IF x is hi THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb({rule(kLo, kAny, kSmall), rule(kAny, kLo, kMid),
+                     rule(kHi, kAny, kLarge)},
+                    inputs, output);
   const InferenceEngine engine(inputs, output, rb);
   std::vector<FiredRule> fired;
   engine.infer_traced(std::vector<double>{2.0, 4.0}, fired);
@@ -134,55 +109,24 @@ TEST_F(InferenceFixture, TracedReportsFiredRulesDescending) {
   EXPECT_DOUBLE_EQ(fired[2].strength, 0.2);
 }
 
-TEST_F(InferenceFixture, OutputSetGradeMinImplication) {
-  const auto rs = rules({"IF x is lo THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
+TEST_F(InferenceFixture, OutputSetGradeClipsAtActivation) {
+  const RuleBase rb({rule(kLo, kAny, kLarge)}, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  const auto res = engine.infer(std::vector<double>{2.0, 0.0});  // act 0.8
+  std::vector<FiredRule> fired;
+  const auto res =
+      engine.infer_traced(std::vector<double>{2.0, 0.0}, fired);  // act 0.8
   // large is right_shoulder(0.75, 0.5): mu(1.0) = 1 -> clipped to 0.8.
   EXPECT_DOUBLE_EQ(res.grade(output, 1.0), 0.8);
   // At 0.5, mu_large = 0.5 -> min(0.8, 0.5) = 0.5.
   EXPECT_DOUBLE_EQ(res.grade(output, 0.5), 0.5);
 }
 
-TEST_F(InferenceFixture, OutputSetGradeProductImplication) {
-  const auto rs = rules({"IF x is lo THEN z is large"});
-  const RuleBase rb(rs, inputs, output);
-  InferenceOptions opt;
-  opt.implication = Implication::kProduct;
-  const InferenceEngine engine(inputs, output, rb, opt);
-  const auto res = engine.infer(std::vector<double>{2.0, 0.0});  // act 0.8
-  EXPECT_DOUBLE_EQ(res.grade(output, 0.5), 0.8 * 0.5);
-}
-
-TEST_F(InferenceFixture, InferIntoMatchesInfer) {
-  const auto rs = rules({"IF x is lo AND y is lo THEN z is small",
-                         "IF x is hi AND y is hi THEN z is large",
-                         "IF x is lo AND y is hi THEN z is mid"});
-  const RuleBase rb(rs, inputs, output);
-  const InferenceEngine engine(inputs, output, rb);
-  InferenceScratch scratch;
-  for (double x = 0.0; x <= 10.0; x += 2.5) {
-    for (double y = 0.0; y <= 10.0; y += 2.5) {
-      const std::vector<double> in = {x, y};
-      const auto legacy = engine.infer(in);
-      engine.infer_into(in, scratch);
-      ASSERT_EQ(scratch.activations.size(), legacy.activations.size());
-      for (std::size_t k = 0; k < legacy.activations.size(); ++k)
-        EXPECT_DOUBLE_EQ(scratch.activations[k], legacy.activations[k])
-            << "x=" << x << " y=" << y << " term " << k;
-    }
-  }
-}
-
 TEST_F(InferenceFixture, TracedIntoMatchesTraced) {
-  const auto rs = rules({"IF x is lo THEN z is small",
-                         "IF x is hi THEN z is large",
-                         "IF y is hi THEN z is mid"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb({rule(kLo, kAny, kSmall), rule(kHi, kAny, kLarge),
+                     rule(kAny, kHi, kMid)},
+                    inputs, output);
   const InferenceEngine engine(inputs, output, rb);
   std::vector<FiredRule> fired;
-  InferenceScratch scratch;
   const std::vector<double> in = {3.0, 8.0};
   (void)engine.infer_traced(in, fired);
   engine.infer_traced_into(in, scratch);
@@ -196,16 +140,16 @@ TEST_F(InferenceFixture, TracedIntoMatchesTraced) {
 TEST_F(InferenceFixture, ScratchIsReusableAcrossEngines) {
   // A scratch sized by a wide engine must still work for a narrow one and
   // vice versa — buffers are resized logically per call.
-  const auto rs1 = rules({"IF x is lo THEN z is small"});
-  const RuleBase rb1(rs1, inputs, output);
+  const RuleBase rb1({rule(kLo, kAny, kSmall)}, inputs, output);
   const InferenceEngine wide(inputs, output, rb1);
 
   std::vector<LinguisticVariable> one_input = {inputs[0]};
-  const auto r2 = parse_rule("IF x is lo THEN z is large", one_input, output);
+  FuzzyRule r2;
+  r2.antecedents = {kLo};
+  r2.consequent = kLarge;
   const RuleBase rb2({r2}, one_input, output);
   const InferenceEngine narrow(one_input, output, rb2);
 
-  InferenceScratch scratch;
   wide.infer_into(std::vector<double>{2.0, 3.0}, scratch);
   const auto wide_acts = scratch.activations;
   narrow.infer_into(std::vector<double>{2.0}, scratch);
@@ -214,12 +158,11 @@ TEST_F(InferenceFixture, ScratchIsReusableAcrossEngines) {
 }
 
 TEST_F(InferenceFixture, WrongInputArityThrows) {
-  const auto rs = rules({"IF x is lo THEN z is small"});
-  const RuleBase rb(rs, inputs, output);
+  const RuleBase rb({rule(kLo, kAny, kSmall)}, inputs, output);
   const InferenceEngine engine(inputs, output, rb);
-  EXPECT_THROW(engine.infer(std::vector<double>{1.0}),
+  EXPECT_THROW(engine.infer_into(std::vector<double>{1.0}, scratch),
                facsp::ContractViolation);
-  EXPECT_THROW(engine.infer(std::vector<double>{1.0, 2.0, 3.0}),
+  EXPECT_THROW(engine.infer_into(std::vector<double>{1.0, 2.0, 3.0}, scratch),
                facsp::ContractViolation);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cac/facs_flc.h"
 #include "fuzzy/controller.h"
@@ -104,6 +105,43 @@ TEST_P(PaperControllerProperty, ContinuityUnderSmallPerturbation) {
     }
     const double y1 = flc->evaluate(nudged);
     EXPECT_NEAR(y0, y1, 2e-2) << GetParam().label;
+  }
+}
+
+TEST_P(PaperControllerProperty, ExplainMatchesFastPathBitwise) {
+  // The traced path (explain(): linear rule scan with fired-rule capture)
+  // must reproduce the untraced fast path (infer_into(): sparse-fire dense
+  // table) bit for bit — both the per-term activations and the crisp
+  // verdict.  Decision provenance relies on this.
+  const auto flc = make(GetParam().which);
+  const std::size_t n = flc->input_count();
+  std::vector<std::vector<double>> inputs;
+  sim::RandomStream rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<double> in;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& v = flc->input(i);
+      in.push_back(rng.uniform(v.universe_lo(), v.universe_hi()));
+    }
+    inputs.push_back(std::move(in));
+  }
+  // Every corner of the input box: each input at its universe's lo or hi.
+  for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
+    std::vector<double> in;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& v = flc->input(i);
+      in.push_back((mask >> i) & 1 ? v.universe_hi() : v.universe_lo());
+    }
+    inputs.push_back(std::move(in));
+  }
+  InferenceScratch scratch;
+  for (const auto& in : inputs) {
+    const auto ex = flc->explain(in);
+    EXPECT_EQ(ex.crisp, flc->evaluate(in)) << GetParam().label;
+    // evaluate_with() leaves infer_into()'s activations in the scratch.
+    (void)flc->evaluate_with(scratch, in);
+    EXPECT_EQ(ex.aggregated.activations, scratch.activations)
+        << GetParam().label;
   }
 }
 

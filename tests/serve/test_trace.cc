@@ -100,6 +100,21 @@ TEST(Trace, RejectsBadCells) {
     std::istringstream in(header + "\n0,1,text,1,new,urgent,0,0,0,1,0,0,0\n");
     EXPECT_THROW(read_trace(in), ParseError);  // unknown priority
   }
+  // Parsable rows that the wire decoder would reject as kBadValue: a
+  // non-positive bandwidth, a NaN speed, a negative holding time.  The
+  // error names the offending row (the header is row 1).
+  for (const std::string row : {"0,1,text,-5,new,normal,0,0,0,1,0,0,0",
+                                "0,1,text,1,new,normal,nan,0,0,1,0,0,0",
+                                "0,1,text,1,new,normal,0,0,0,-30,0,0,0"}) {
+    std::istringstream in(header + "\n0,1,text,1,new,normal,0,0,0,1,0,0,0\n" +
+                          row + "\n");
+    try {
+      read_trace(in);
+      ADD_FAILURE() << "expected ParseError for " << row;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3) << row;
+    }
+  }
 }
 
 TEST(Trace, FileRoundTrip) {
