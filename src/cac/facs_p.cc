@@ -1,18 +1,23 @@
 #include "cac/facs_p.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace facsp::cac {
 
+FacsPControllers make_facs_p_controllers(const FacsPConfig& config) {
+  const fuzzy::Defuzzifier defuzz(config.defuzz_method,
+                                  kPolicyDefuzzResolution);
+  return {make_flc1(config.flc1, defuzz), make_flc2(config.flc2, defuzz)};
+}
+
 FacsPPolicy::FacsPPolicy(const FacsPConfig& config)
-    : FuzzyCacBase(
-          make_flc1(config.flc1,
-                    fuzzy::Defuzzifier(config.defuzz_method,
-                                       kPolicyDefuzzResolution)),
-          make_flc2(config.flc2,
-                    fuzzy::Defuzzifier(config.defuzz_method,
-                                       kPolicyDefuzzResolution)),
-          config.accept_threshold, config.handoff_score_bonus),
+    : FacsPPolicy(config, make_facs_p_controllers(config)) {}
+
+FacsPPolicy::FacsPPolicy(const FacsPConfig& config,
+                         FacsPControllers controllers)
+    : FuzzyCacBase(std::move(controllers.flc1), std::move(controllers.flc2),
+                   config.accept_threshold, config.handoff_score_bonus),
       config_(config) {}
 
 DifferentiatedCounters& FacsPPolicy::counters_mut(

@@ -12,6 +12,7 @@
 // producing Fig. 10's crossover against plain FACS.
 #pragma once
 
+#include <memory>
 #include <unordered_map>
 
 #include "cac/counters.h"
@@ -34,12 +35,24 @@ struct FacsPConfig {
   double handoff_score_bonus = 0.30;
 };
 
+/// FACS-P's FLC1 and FLC2 built from one config.  They are fixed rule
+/// bases, the same for every base station, and immutable: every policy a
+/// factory returns shares one pair (see core::make_facs_p_factory).
+struct FacsPControllers {
+  std::shared_ptr<const fuzzy::FuzzyController> flc1;
+  std::shared_ptr<const fuzzy::FuzzyController> flc2;
+};
+FacsPControllers make_facs_p_controllers(const FacsPConfig& config);
+
 /// The proposed policy.  Maintains one RTC/NRTC counter pair per base
 /// station, updated through the on_admitted / on_released notifications
 /// (paper Fig. 4: the A/R output feeds the counters).
 class FacsPPolicy final : public FuzzyCacBase {
  public:
+  /// Builds its own controller pair: make_facs_p_controllers(config).
   explicit FacsPPolicy(const FacsPConfig& config = {});
+  /// Shares `controllers`, which must have been built from `config`.
+  FacsPPolicy(const FacsPConfig& config, FacsPControllers controllers);
 
   std::string_view name() const noexcept override { return "FACS-P"; }
 

@@ -1,11 +1,17 @@
 #include "cac/facs_pr.h"
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace facsp::cac {
 
 FacsPrPolicy::FacsPrPolicy(const FacsPrConfig& config)
-    : config_(config), inner_(config.base) {
+    : FacsPrPolicy(config, make_facs_p_controllers(config.base)) {}
+
+FacsPrPolicy::FacsPrPolicy(const FacsPrConfig& config,
+                           FacsPControllers controllers)
+    : config_(config), inner_(config.base, std::move(controllers)) {
   if (config_.low_extra < config_.normal_extra ||
       config_.normal_extra < config_.high_extra)
     throw ConfigError(

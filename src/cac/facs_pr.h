@@ -31,7 +31,10 @@ struct FacsPrConfig {
 /// FACS-P + priority of requesting connections.
 class FacsPrPolicy final : public AdmissionPolicy {
  public:
+  /// Builds its own controller pair: make_facs_p_controllers(config.base).
   explicit FacsPrPolicy(const FacsPrConfig& config = {});
+  /// Shares `controllers`, which must have been built from `config.base`.
+  FacsPrPolicy(const FacsPrConfig& config, FacsPControllers controllers);
 
   std::string_view name() const noexcept override { return "FACS-PR"; }
 
@@ -57,6 +60,9 @@ class FacsPrPolicy final : public AdmissionPolicy {
 
   /// The effective accept threshold applied to a given priority.
   double threshold_for(cellular::UserPriority p) const noexcept;
+
+  /// The FACS-P cascade this policy re-thresholds.
+  const FacsPPolicy& base() const noexcept { return inner_; }
 
  private:
   FacsPrConfig config_;

@@ -43,8 +43,11 @@ class FuzzyCacBase : public AdmissionPolicy {
   const fuzzy::FuzzyController& flc2() const noexcept { return *flc2_; }
 
  protected:
-  FuzzyCacBase(std::unique_ptr<fuzzy::FuzzyController> flc1,
-               std::unique_ptr<fuzzy::FuzzyController> flc2,
+  /// The controllers are immutable (fuzzy/controller.h), so several
+  /// policies — one per shard of a multi-cell run — may share one pair;
+  /// each policy keeps its own counters and inference scratch.
+  FuzzyCacBase(std::shared_ptr<const fuzzy::FuzzyController> flc1,
+               std::shared_ptr<const fuzzy::FuzzyController> flc2,
                double accept_threshold, double handoff_score_bonus);
 
   /// Third crisp input of FLC1: Sr for FACS-P, Di for FACS.
@@ -56,8 +59,8 @@ class FuzzyCacBase : public AdmissionPolicy {
                                const cellular::BaseStation& bs) const = 0;
 
  private:
-  std::unique_ptr<fuzzy::FuzzyController> flc1_;
-  std::unique_ptr<fuzzy::FuzzyController> flc2_;
+  std::shared_ptr<const fuzzy::FuzzyController> flc1_;
+  std::shared_ptr<const fuzzy::FuzzyController> flc2_;
   double accept_threshold_;
   double handoff_score_bonus_;
   /// Reusable arena for both controllers; policies are driven from one

@@ -42,18 +42,26 @@ RunResult Experiment::run_single(int n, std::uint64_t replication) const {
   return engine.run(n).aggregate;
 }
 
+// FACS-P's FLC1/FLC2 depend only on the config, so both FACS-P factories
+// build the pair once, here, and every policy they return shares it; a
+// policy's own state is its RTC/NRTC counters and inference scratch.
 PolicyFactory make_facs_p_factory(cac::FacsPConfig config) {
-  return [config](const cellular::CellularNetwork&, sim::RngFactory&) {
-    return std::make_unique<cac::FacsPPolicy>(config);
+  const cac::FacsPControllers flcs = cac::make_facs_p_controllers(config);
+  return [config, flcs](const cellular::CellularNetwork&, sim::RngFactory&) {
+    return std::make_unique<cac::FacsPPolicy>(config, flcs);
   };
 }
 
 PolicyFactory make_facs_pr_factory(cac::FacsPrConfig config) {
-  return [config](const cellular::CellularNetwork&, sim::RngFactory&) {
-    return std::make_unique<cac::FacsPrPolicy>(config);
+  const cac::FacsPControllers flcs =
+      cac::make_facs_p_controllers(config.base);
+  return [config, flcs](const cellular::CellularNetwork&, sim::RngFactory&) {
+    return std::make_unique<cac::FacsPrPolicy>(config, flcs);
   };
 }
 
+// FACS keeps building per call: its FLC1 distance universe is the network's
+// cell radius, which a sweep axis can vary between calls.
 PolicyFactory make_facs_factory(cac::FacsConfig config) {
   return [config](const cellular::CellularNetwork& network,
                   sim::RngFactory&) {

@@ -27,12 +27,15 @@ namespace facsp::core {
 /// replication's network (SCC needs the geometry) and a per-replication
 /// RNG factory (randomised policies draw their own streams).
 ///
-/// Thread-safety contract: SweepRunner invokes the factory from worker
-/// threads, once per (N, replication) cell, possibly concurrently.
-/// Factories must therefore be safe to call concurrently: capture
-/// configuration by value and only build fresh policy objects (as every
-/// make_*_factory() below does); never close over mutable shared state.
-/// The policy *instances* a factory returns are used by one worker only.
+/// Thread-safety contract: SweepRunner's workers each run their own
+/// MultiCellEngine, and every engine calls the factory once per shard it
+/// builds — lazily, mid-run, the first time the shard has work.  One
+/// factory is therefore called concurrently from several sweep workers and
+/// must be safe to call that way: capture configuration by value, share
+/// only immutable state (the FACS-P factories share one const FLC1/FLC2
+/// pair), build every piece of mutable per-policy state fresh, and never
+/// close over mutable shared state.  The policy *instances* a factory
+/// returns are used by one thread at a time.
 using PolicyFactory = std::function<std::unique_ptr<cac::AdmissionPolicy>(
     const cellular::CellularNetwork& network, sim::RngFactory& rng)>;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/expects.h"
 #include "common/math_util.h"
@@ -14,12 +15,13 @@ namespace facsp::core {
 
 namespace {
 
-/// Registered once, on the first epoch that runs with metrics enabled;
-/// afterwards every epoch just dereferences cached references.
+/// Registered once, on the first build or epoch that runs with metrics
+/// enabled; afterwards every use just dereferences cached references.
 struct EngineMetrics {
   obs::Counter& epochs;
   obs::Counter& epochs_skipped;
   obs::Counter& shards_drained;
+  obs::Counter& shards_built;
   obs::Counter& routed;
   obs::Counter& left_world;
   obs::Counter& admitted;
@@ -33,6 +35,7 @@ struct EngineMetrics {
         obs::Registry::instance().counter("engine.epochs"),
         obs::Registry::instance().counter("engine.epochs_skipped"),
         obs::Registry::instance().counter("engine.shards_drained"),
+        obs::Registry::instance().counter("engine.shards_built"),
         obs::Registry::instance().counter("engine.handover.routed"),
         obs::Registry::instance().counter("engine.handover.left_world"),
         obs::Registry::instance().counter("engine.handover.admitted"),
@@ -75,11 +78,14 @@ std::vector<cellular::HexCoord> spiral_coords(int cells) {
 }  // namespace
 
 MultiCellEngine::MultiCellEngine(const ScenarioConfig& scenario,
-                                 const PolicyFactory& factory,
+                                 PolicyFactory factory,
                                  std::uint64_t replication)
-    : scenario_(scenario) {
+    : scenario_(scenario),
+      factory_(std::move(factory)),
+      replication_(replication) {
+  FACSP_TRACE_SPAN("engine", "build");
   scenario_.validate();
-  FACSP_EXPECTS(static_cast<bool>(factory));
+  FACSP_EXPECTS(static_cast<bool>(factory_));
 
   coords_ = spiral_coords(scenario_.multicell.cells);
   index_.reserve(coords_.size());
@@ -97,28 +103,48 @@ MultiCellEngine::MultiCellEngine(const ScenarioConfig& scenario,
                                           unit.center(dirs[d]));
   }
 
-  shards_.reserve(coords_.size());
-  for (std::size_t k = 0; k < coords_.size(); ++k) {
-    // Cell 0 keeps the legacy seed roots so a 1-cell engine run *is* the
-    // historical single-world run, bit for bit; every other shard gets its
-    // own independent family under the "cell" component.
-    const std::uint64_t cell_seed =
-        k == 0 ? scenario_.seed
-               : sim::hash_seed(scenario_.seed, "cell",
-                                static_cast<std::uint64_t>(k));
-    ScenarioConfig cell_scenario = scenario_;
-    cell_scenario.seed = cell_seed;
+  // Empty slots only: build() fills a shard the first time it has work.
+  shards_.resize(coords_.size());
+}
 
-    Shard sh;
-    sh.policy = std::make_unique<cac::DeferredPolicy>();
-    sh.driver = std::make_unique<SessionDriver>(
-        cell_scenario, *sh.policy, replication,
-        kCellIdOffset * static_cast<cellular::ConnectionId>(k));
-    sim::RngFactory policy_rng(
-        sim::hash_seed(cell_seed, "policy", replication));
-    sh.policy->inner = factory(sh.driver->network(), policy_rng);
-    shards_.push_back(std::move(sh));
-  }
+void MultiCellEngine::build(int cell, int n_requests) {
+  obs::ScopedSpan span("engine", "build", cell);
+  Shard& sh = shards_[static_cast<std::size_t>(cell)];
+  // Cell 0 keeps the legacy seed roots so a 1-cell engine run *is* the
+  // historical single-world run, bit for bit; every other shard gets its
+  // own independent family under the "cell" component.
+  const std::uint64_t cell_seed =
+      cell == 0 ? scenario_.seed
+                : sim::hash_seed(scenario_.seed, "cell",
+                                 static_cast<std::uint64_t>(cell));
+  ScenarioConfig cell_scenario = scenario_;
+  cell_scenario.seed = cell_seed;
+
+  sh.policy = std::make_unique<cac::DeferredPolicy>();
+  sh.driver = std::make_unique<SessionDriver>(
+      cell_scenario, *sh.policy, replication_,
+      kCellIdOffset * static_cast<cellular::ConnectionId>(cell));
+  sim::RngFactory policy_rng(
+      sim::hash_seed(cell_seed, "policy", replication_));
+  sh.policy->inner = factory_(sh.driver->network(), policy_rng);
+  Shard* self = &sh;  // shards_ never reallocates
+  sh.driver->set_departure_sink([self](SessionDriver::CellDeparture dep) {
+    self->outbox.push_back(std::move(dep));
+  });
+  sh.driver->begin(n_requests);
+
+  built_.insert(std::lower_bound(built_.begin(), built_.end(), cell), cell);
+  if (obs::metrics_enabled()) EngineMetrics::get().shards_built.add(1);
+}
+
+bool MultiCellEngine::built(int cell) const {
+  FACSP_EXPECTS(cell >= 0 && cell < cell_count());
+  return shards_[static_cast<std::size_t>(cell)].driver != nullptr;
+}
+
+const SessionDriver& MultiCellEngine::driver(int cell) const {
+  FACSP_EXPECTS_MSG(built(cell), "shard " << cell << " was never built");
+  return *shards_[static_cast<std::size_t>(cell)].driver;
 }
 
 int MultiCellEngine::route_target(int cell, double heading_deg) const {
@@ -188,6 +214,9 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
       ++es.delivered;
       ++src.handoffs_out;
       Shard& dsh = shards_[static_cast<std::size_t>(dst)];
+      // First handover into a shard nobody built yet: build it now, empty —
+      // the same state an eagerly built, never-drained shard has here.
+      if (dsh.driver == nullptr) build(dst, 0);
       ++dsh.handoffs_in;
       if (dsh.inbox.empty()) touched_.push_back(dst);  // first touch
       SessionDriver::CellArrival a;
@@ -233,9 +262,12 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
 
   const bool metrics_on = obs::metrics_enabled();
   if (observer_ || metrics_on) {
-    for (const Shard& sh : shards_) {
-      es.active_sessions += sh.driver->session_count();
-      const cellular::CellularNetwork& net = sh.driver->network();
+    // Built shards only, ascending: an unbuilt shard would add exact zeros,
+    // so the double sum keeps the all-cells order's value bit for bit.
+    for (const int k : built_) {
+      const SessionDriver& drv = *shards_[static_cast<std::size_t>(k)].driver;
+      es.active_sessions += drv.session_count();
+      const cellular::CellularNetwork& net = drv.network();
       for (std::size_t b = 0; b < net.cell_count(); ++b)
         es.used_bu += net.station(b).load().used;
     }
@@ -274,22 +306,15 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
   FACSP_EXPECTS(!started_);
   started_ = true;
 
+  // workload_cells > 0 restricts fresh traffic to the first spiral cells;
+  // the rest start empty (and idle) and are built only when a handover
+  // first reaches them — the sparse-grid regime the event-driven scheduler
+  // exists for.  Full drains touch every shard, so they build them all.
   const int wc = scenario_.multicell.workload_cells;
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    Shard& sh = shards_[k];
-    Shard* self = &sh;  // shards_ is stable from here on
-    sh.driver->set_departure_sink(
-        [self](SessionDriver::CellDeparture dep) {
-          self->outbox.push_back(std::move(dep));
-        });
-    // workload_cells > 0 restricts fresh traffic to the first spiral cells;
-    // the rest start empty (and idle) and only ever light up on inbound
-    // handovers — the sparse-grid regime the event-driven scheduler exists
-    // for.
-    sh.driver->begin(wc > 0 && static_cast<int>(k) >= wc
-                         ? 0
-                         : n_requests_per_cell);
-  }
+  const int generating = wc > 0 ? std::min(wc, cell_count()) : cell_count();
+  const int eager = force_full_drains_ ? cell_count() : generating;
+  for (int k = 0; k < eager; ++k)
+    build(k, k < generating ? n_requests_per_cell : 0);
 
   // Seed the active index: exactly the shards whose begin() scheduled work.
   active_.clear();
@@ -297,8 +322,8 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
   active_pos_.assign(shards_.size(), -1);
   drain_.reserve(shards_.size());
   touched_.reserve(shards_.size());
-  for (std::size_t k = 0; k < shards_.size(); ++k)
-    if (!shards_[k].driver->idle()) activate(static_cast<int>(k));
+  for (const int k : built_)
+    if (!shards_[static_cast<std::size_t>(k)].driver->idle()) activate(k);
 
   // Never spawn more workers than there are shards to drain: run_single
   // builds an engine per replication, so surplus threads would be pure
@@ -417,6 +442,7 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
     t = t_end;
   }
 
+  FACSP_TRACE_SPAN("engine", "reduce");
   MultiCellResult out;
   out.cells.reserve(shards_.size());
   RunResult agg;
@@ -424,7 +450,8 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     MultiCellResult::Cell c;
     c.coord = coords_[k];
-    c.run = shards_[k].driver->result();
+    c.run = shards_[k].driver != nullptr ? shards_[k].driver->result()
+                                         : SessionDriver::idle_result();
     c.handoffs_out = shards_[k].handoffs_out;
     c.handoffs_in = shards_[k].handoffs_in;
     c.left_world = shards_[k].left_world;

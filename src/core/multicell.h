@@ -39,8 +39,16 @@
 // observed per-epoch handover count within [sim.epoch_min_s,
 // sim.epoch_max_s]; conservation invariants hold but byte goldens don't.
 //
+// Construction cost follows activity too: a shard's driver and policy are
+// built only when it first has work — at run() for the generating cells,
+// at the barrier that first delivers a handover to it otherwise
+// (engine.shards_built).  A build touches only the shard's own state,
+// seeded from its cell id, so build order cannot change a result; a shard
+// never built reports SessionDriver::idle_result().
+//
 // Determinism: the parallel phase is share-nothing (each shard owns its
-// driver, policy, scratch and RNG streams, seeded from
+// driver, policy state, scratch and RNG streams — policies may share
+// immutable controllers — seeded from
 // hash_seed(seed, "cell", cell_id) — cell 0 keeps the legacy roots), and
 // the barrier phase is serial in a fixed order (ascending cell id over the
 // drain list), so results are bit-identical for every thread count.  With
@@ -88,7 +96,9 @@ struct MultiCellResult {
 /// exactly like SessionDriver, which it generalises.
 class MultiCellEngine {
  public:
-  MultiCellEngine(const ScenarioConfig& scenario, const PolicyFactory& factory,
+  /// Lays out the grid and its routing tables only; shards are built on
+  /// first use, each with one call of `factory` (kept by copy).
+  MultiCellEngine(const ScenarioConfig& scenario, PolicyFactory factory,
                   std::uint64_t replication);
 
   /// One barrier's accounting, handed to the epoch observer (conservation
@@ -110,9 +120,10 @@ class MultiCellEngine {
   using EpochObserver = std::function<void(const EpochStats&)>;
   void set_epoch_observer(EpochObserver obs) { observer_ = std::move(obs); }
 
-  /// Test knob: drain EVERY shard every epoch and never fast-forward —
-  /// the pre-PR-10 bulk-synchronous schedule.  The bit-identity suite runs
-  /// each scenario both ways and compares results byte for byte.
+  /// Test knob: build every shard at run(), drain EVERY shard every epoch
+  /// and never fast-forward — the eager bulk-synchronous schedule.  The
+  /// bit-identity suite runs each scenario both ways and compares results
+  /// byte for byte.
   void set_force_full_drains(bool force) { force_full_drains_ = force; }
 
   /// Run the replication: every shard offers `n_requests_per_cell` new
@@ -129,15 +140,18 @@ class MultiCellEngine {
   /// -1 when that neighbour is off the super grid.  Exposed for tests.
   int route_target(int cell, double heading_deg) const;
 
+  /// True once shard `cell` has been built (every cell is, once run()
+  /// started with workload_cells == 0).
+  bool built(int cell) const;
+
   /// Shard introspection for the property tests (per-BS LoadState etc.).
-  const SessionDriver& driver(int cell) const {
-    return *shards_[static_cast<std::size_t>(cell)].driver;
-  }
+  /// Precondition: built(cell).
+  const SessionDriver& driver(int cell) const;
 
  private:
   struct Shard {
     std::unique_ptr<cac::DeferredPolicy> policy;
-    std::unique_ptr<SessionDriver> driver;
+    std::unique_ptr<SessionDriver> driver;  ///< null until built
     std::vector<SessionDriver::CellDeparture> outbox;  ///< filled during drain
     std::vector<SessionDriver::CellArrival> inbox;     ///< filled at barrier
     // Reused across epochs: steady-state barriers allocate nothing.
@@ -147,6 +161,9 @@ class MultiCellEngine {
     std::uint64_t handoffs_in = 0;
     std::uint64_t left_world = 0;
   };
+
+  /// Build shard `cell` and begin it with `n_requests` fresh calls.
+  void build(int cell, int n_requests);
 
   cellular::MobileState entry_state(
       const SessionDriver::CellDeparture& dep) const;
@@ -159,11 +176,14 @@ class MultiCellEngine {
   void deactivate(int cell);
 
   ScenarioConfig scenario_;
+  PolicyFactory factory_;
+  std::uint64_t replication_;
   std::vector<cellular::HexCoord> coords_;
   std::unordered_map<cellular::HexCoord, int, cellular::HexCoordHash> index_;
   cellular::HexCoord dir_[6] = {};  ///< the six hex neighbour offsets
   double dir_angle_[6] = {};  ///< world angle of each hex neighbour direction
-  std::vector<Shard> shards_;
+  std::vector<Shard> shards_;     ///< sized once: Shard addresses are stable
+  std::vector<int> built_;       ///< cells with a driver (ascending)
   std::vector<int> active_;      ///< cells with pending events (unordered)
   std::vector<int> active_pos_;  ///< cell -> index in active_, or -1
   std::vector<int> drain_;       ///< this epoch's drain list (ascending)

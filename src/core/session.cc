@@ -277,17 +277,31 @@ sim::SimTime SessionDriver::next_event_time() const {
   return sim_.next_event_time();
 }
 
+namespace {
+/// Floor of the averaging window, so a run that fired nothing divides by a
+/// positive span.
+constexpr sim::SimTime kMinDurationS = 1e-9;
+}  // namespace
+
 RunResult SessionDriver::result() const {
   RunResult result;
   result.metrics = metrics_;
   // Average over the active period (first arrival batch to last event),
   // not to the safety horizon — run_until() parks the clock there even
   // when the system drained hours earlier.
-  const sim::SimTime end = std::max(sim_.last_event_time(), 1e-9);
+  const sim::SimTime end = std::max(sim_.last_event_time(), kMinDurationS);
   result.duration_s = end;
   result.events = sim_.events_fired();
   result.center_utilization =
       network_->center().average_utilization(end);
+  return result;
+}
+
+RunResult SessionDriver::idle_result() {
+  // No event: empty metrics, no load ever carried (utilization 0 over the
+  // floor window), zero events.
+  RunResult result;
+  result.duration_s = kMinDurationS;
   return result;
 }
 

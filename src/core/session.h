@@ -97,6 +97,11 @@ class SessionDriver {
   /// Snapshot of the run's metrics so far (final when idle()).
   RunResult result() const;
 
+  /// What result() returns for a driver begun with no requests and never
+  /// driven since: the multi-cell engine reports it for shards it never
+  /// had to build.
+  static RunResult idle_result();
+
   /// The admission request an inbound handover presents to the base station
   /// covering its entry position.  Consumes one direction-predictor draw,
   /// exactly like any other handoff request.

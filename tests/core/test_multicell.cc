@@ -9,6 +9,8 @@
 //     off the edge, delivered arrivals are admitted or dropped (never
 //     lost), per-BS channel counters stay consistent and non-negative,
 //     and per-cell sums match the network-wide totals at every drain;
+//   * shards built on first use equal eagerly built ones, cell by cell and
+//     barrier by barrier, and a sparse grid builds only what it reaches;
 //   * multi-cell scenarios compose with the declarative sweep layer
 //     (serial vs parallel ResultTables byte-for-byte, `sim.cells` as a
 //     param axis).
@@ -172,8 +174,10 @@ TEST(MultiCellEngine, RouteTargetPicksHexNeighboursOrTheEdge) {
 
 // --- conservation properties ----------------------------------------------
 
-TEST(MultiCellEngine, HandoverConservationHoldsAtEveryDrain) {
-  MultiCellEngine engine(storm_scenario(), make_facs_p_factory(), 1);
+/// Conservation at every barrier and over the run.  Unbuilt shards hold
+/// nothing, so the per-cell sums run over built ones.
+void expect_handover_conservation(const ScenarioConfig& scen) {
+  MultiCellEngine engine(scen, make_facs_p_factory(), 1);
   std::uint64_t epochs = 0, total_departures = 0;
   engine.set_epoch_observer([&](const MultiCellEngine::EpochStats& es) {
     ++epochs;
@@ -197,6 +201,7 @@ TEST(MultiCellEngine, HandoverConservationHoldsAtEveryDrain) {
     double used_sum = 0.0;
     std::uint64_t session_sum = 0;
     for (int cell = 0; cell < engine.cell_count(); ++cell) {
+      if (!engine.built(cell)) continue;
       session_sum += engine.driver(cell).session_count();
       for (const cellular::BaseStation* bs :
            engine.driver(cell).network().stations()) {
@@ -235,11 +240,24 @@ TEST(MultiCellEngine, HandoverConservationHoldsAtEveryDrain) {
   EXPECT_EQ(result.aggregate.metrics.handoff_attempts(), in_sum);
   // Nothing is still holding channels after the drain completed.
   for (int cell = 0; cell < engine.cell_count(); ++cell) {
+    if (!engine.built(cell)) continue;
     EXPECT_EQ(engine.driver(cell).session_count(), 0u);
     for (const cellular::BaseStation* bs :
          engine.driver(cell).network().stations())
       EXPECT_EQ(bs->load().used, 0.0);
   }
+}
+
+TEST(MultiCellEngine, HandoverConservationHoldsAtEveryDrain) {
+  expect_handover_conservation(storm_scenario());
+}
+
+TEST(MultiCellEngine, HandoverConservationHoldsOnASparseGrid) {
+  // Most shards are built mid-run by their first inbound handover.
+  ScenarioConfig s = storm_scenario();
+  s.multicell.cells = 100;
+  s.multicell.workload_cells = 1;
+  expect_handover_conservation(s);
 }
 
 TEST(MultiCellEngine, EveryCellOffersItsOwnWorkload) {
@@ -336,7 +354,16 @@ void expect_same_multicell_result(const MultiCellResult& a,
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t k = 0; k < a.cells.size(); ++k) {
     SCOPED_TRACE("cell=" + std::to_string(k));
+    EXPECT_EQ(a.cells[k].coord, b.cells[k].coord);
     expect_same_metrics(a.cells[k].run.metrics, b.cells[k].run.metrics);
+    for (const cellular::ServiceClass sc : cellular::kAllServices)
+      EXPECT_EQ(a.cells[k].run.metrics.acceptance_percent(sc),
+                b.cells[k].run.metrics.acceptance_percent(sc));
+    for (const cellular::UserPriority p :
+         {cellular::UserPriority::kLow, cellular::UserPriority::kNormal,
+          cellular::UserPriority::kHigh})
+      EXPECT_EQ(a.cells[k].run.metrics.acceptance_percent(p),
+                b.cells[k].run.metrics.acceptance_percent(p));
     EXPECT_EQ(a.cells[k].run.center_utilization,
               b.cells[k].run.center_utilization);
     EXPECT_EQ(a.cells[k].run.duration_s, b.cells[k].run.duration_s);
@@ -351,12 +378,45 @@ void expect_same_multicell_result(const MultiCellResult& a,
   EXPECT_EQ(a.aggregate.events, b.aggregate.events);
 }
 
+/// Runs `engine` with an observer that keeps a copy of every barrier's
+/// EpochStats.
+std::pair<MultiCellResult, std::vector<MultiCellEngine::EpochStats>>
+run_observed(MultiCellEngine& engine, int n) {
+  std::vector<MultiCellEngine::EpochStats> epochs;
+  engine.set_epoch_observer(
+      [&epochs](const MultiCellEngine::EpochStats& es) {
+        epochs.push_back(es);
+      });
+  MultiCellResult result = engine.run(n);
+  return {std::move(result), std::move(epochs)};
+}
+
+void expect_same_epoch(const MultiCellEngine::EpochStats& a,
+                       const MultiCellEngine::EpochStats& b) {
+  EXPECT_EQ(a.t_end, b.t_end);
+  EXPECT_EQ(a.departures, b.departures);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.left_world, b.left_world);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.routes, b.routes);
+  EXPECT_EQ(a.active_sessions, b.active_sessions);
+  EXPECT_EQ(a.used_bu, b.used_bu);
+}
+
 TEST(MultiCellEngine, EventSkippingIsBitIdenticalToFullDrains) {
-  // The pre-PR-10 bulk-synchronous schedule (every shard drained every
-  // epoch, no fast-forward) and the event-driven schedule must produce
-  // byte-identical results — per cell and aggregate, at every thread count.
+  // The eager bulk-synchronous schedule (every shard built up front and
+  // drained every epoch, no fast-forward) and the event-driven schedule
+  // (shards built on first use, idle epochs skipped) must produce
+  // byte-identical results — every field of every cell, never-touched
+  // cells included, and the aggregate, at every thread count.  The sparse
+  // grids leave most shards unbuilt in the event-driven run.
+  ScenarioConfig sparse_storm = storm_scenario();
+  sparse_storm.multicell.cells = 1000;
+  sparse_storm.multicell.workload_cells = 1;
   for (const ScenarioConfig& scen :
-       {paper_scenario(), storm_scenario()}) {
+       {paper_scenario(), storm_scenario(),
+        workload::catalog_scenario("multicell-sparse-100"), sparse_storm}) {
     for (const int threads : {1, 2, 8}) {
       SCOPED_TRACE("cells=" + std::to_string(scen.multicell.cells) +
                    " threads=" + std::to_string(threads));
@@ -365,11 +425,27 @@ TEST(MultiCellEngine, EventSkippingIsBitIdenticalToFullDrains) {
 
       MultiCellEngine full(s, make_facs_p_factory(), 0);
       full.set_force_full_drains(true);
-      const MultiCellResult base = full.run(60);
+      const auto [base, base_epochs] = run_observed(full, 60);
 
       MultiCellEngine skipping(s, make_facs_p_factory(), 0);
-      const MultiCellResult got = skipping.run(60);
+      const auto [got, got_epochs] = run_observed(skipping, 60);
       expect_same_multicell_result(base, got);
+
+      // Barrier by barrier: the event-driven run's barriers are the eager
+      // run's non-skipped ones (same t_end), with identical stats; every
+      // barrier it skipped routed nothing.
+      std::size_t j = 0;
+      for (const MultiCellEngine::EpochStats& es : base_epochs) {
+        if (j < got_epochs.size() && got_epochs[j].t_end == es.t_end) {
+          SCOPED_TRACE("epoch t_end=" + std::to_string(es.t_end));
+          expect_same_epoch(es, got_epochs[j]);
+          ++j;
+        } else {
+          EXPECT_EQ(es.departures, 0u);
+        }
+      }
+      EXPECT_EQ(j, got_epochs.size());
+      EXPECT_GT(j, 0u);
     }
   }
 }
@@ -405,6 +481,8 @@ TEST(MultiCellEngine, SparseGridDrainsProportionalToActivity) {
   const std::uint64_t epochs0 = reg.counter("engine.epochs").value();
   const std::uint64_t skipped0 = reg.counter("engine.epochs_skipped").value();
 
+  const std::uint64_t built0 = reg.counter("engine.shards_built").value();
+
   const bool was_enabled = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
   MultiCellEngine engine(s, make_facs_p_factory(), 0);
@@ -413,6 +491,8 @@ TEST(MultiCellEngine, SparseGridDrainsProportionalToActivity) {
 
   const std::uint64_t drained =
       reg.counter("engine.shards_drained").value() - drained0;
+  const std::uint64_t built =
+      reg.counter("engine.shards_built").value() - built0;
   const std::uint64_t epochs = reg.counter("engine.epochs").value() - epochs0;
   const std::uint64_t skipped =
       reg.counter("engine.epochs_skipped").value() - skipped0;
@@ -426,6 +506,24 @@ TEST(MultiCellEngine, SparseGridDrainsProportionalToActivity) {
   EXPECT_LE(drained * 10, bulk_drains)
       << "drained " << drained << " shards over " << epochs << " epochs (+"
       << skipped << " skipped)";
+  // Construction follows activity too: only the shards the handovers
+  // reached were ever built.
+  EXPECT_GT(built, 1u);
+  EXPECT_LT(built * 4, 1000u) << "built " << built << " of 1000 shards";
+}
+
+TEST(MultiCellEngine, DriverOfAnUnbuiltShardIsAContractViolation) {
+  ScenarioConfig s = storm_scenario();
+  s.multicell.workload_cells = 1;
+  MultiCellEngine engine(s, make_facs_p_factory(), 0);
+  // Nothing is built before run().
+  EXPECT_FALSE(engine.built(0));
+  EXPECT_THROW(engine.driver(0), ContractViolation);
+  engine.run(10);
+  EXPECT_TRUE(engine.built(0));  // the generating cell
+  EXPECT_NO_THROW(engine.driver(0));
+  EXPECT_THROW(engine.driver(-1), ContractViolation);
+  EXPECT_THROW(engine.driver(engine.cell_count()), ContractViolation);
 }
 
 TEST(MultiCellEngine, AdaptiveEpochsKeepConservationInvariants) {
