@@ -44,7 +44,6 @@
 #include "cac/guard_channel.h"  // classical baselines
 #include "cac/policy.h"         // AdmissionPolicy interface
 #include "cac/scc.h"            // Shadow Cluster Concept baseline
-#include "cac/threshold.h"      // complete partitioning
 
 // Experiments
 #include "core/config_io.h"    // scenario files

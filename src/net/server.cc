@@ -29,6 +29,9 @@ struct LoopMetrics {
   obs::Counter& pauses;
   obs::Counter& timeouts;
   obs::Counter& scrapes;
+  obs::Counter& read_calls;
+  obs::Counter& write_calls;
+  obs::Counter& poll_waits;
   obs::Gauge& connections;
 
   static LoopMetrics& get() {
@@ -40,7 +43,9 @@ struct LoopMetrics {
         r.counter("net.decode_errors"), r.counter("net.accept_exhausted"),
         r.counter("net.orphaned_responses"),
         r.counter("net.backpressure_pauses"), r.counter("net.timeouts"),
-        r.counter("net.scrapes"),       r.gauge("net.connections"),
+        r.counter("net.scrapes"),       r.counter("net.read_calls"),
+        r.counter("net.write_calls"),   r.counter("net.poll_waits"),
+        r.gauge("net.connections"),
     };
     return m;
   }
@@ -84,10 +89,13 @@ struct NetServer::Connection {
   double last_read_s = 0.0;      ///< last byte received
   double last_progress_s = 0.0;  ///< last byte written out
   bool open = false;
-  bool telemetry = false;
   bool paused = false;    ///< reads disabled (write backlog)
   bool closing = false;   ///< flush out, then close
-  bool want_write = false;
+  bool want_write = false;  ///< the kernel refused bytes; EPOLLOUT armed
+  /// On dirty_.  Only flush_dirty clears it, so a slot closed and reused
+  /// within one pass is listed once and its flush serves the new
+  /// connection.
+  bool dirty = false;
 
   Connection(std::size_t read_cap, std::size_t write_cap)
       : in(read_cap), out(write_cap) {}
@@ -184,6 +192,7 @@ void NetServer::run() {
     const int timeout_ms = static_cast<int>(
         std::max(10.0, std::min(50.0, net_.flush_idle_s * 1000.0 / 2.0)));
     poller_.wait(timeout_ms, events_);
+    if (obs::metrics_enabled()) LoopMetrics::get().poll_waits.add(1);
 
     for (const PollEvent& ev : events_) {
       if (ev.fd == wake_.read_end.get()) {
@@ -217,6 +226,9 @@ void NetServer::run() {
     if (service_.has_open_batches() && last_submit_wall_ >= 0.0 &&
         now - last_submit_wall_ >= net_.flush_idle_s)
       service_.flush_open_batches();
+    // Everything this pass queued — the dispatch's responses and the idle
+    // flush's — leaves in one write per connection.
+    flush_dirty();
     if (now - last_sweep >= 0.1) {
       sweep_timeouts(now);
       last_sweep = now;
@@ -225,6 +237,40 @@ void NetServer::run() {
 
   drain();
   running_ = false;
+}
+
+NetServer::Connection& NetServer::open_connection(UniqueFd fd,
+                                                  bool closing) {
+  Connection* c;
+  if (!free_.empty()) {
+    c = free_.back();
+    free_.pop_back();
+  } else {
+    slots_.push_back(
+        std::make_unique<Connection>(net_.read_buf, net_.write_buf));
+    c = slots_.back().get();
+    dirty_.reserve(slots_.capacity());
+  }
+  c->in.clear();
+  c->out.clear();
+  c->id = next_conn_id_++;
+  c->open = true;
+  c->paused = false;
+  c->closing = closing;
+  c->want_write = false;
+  c->last_read_s = c->last_progress_s = now_s();
+
+  const int raw = fd.get();
+  c->fd = std::move(fd);
+  if (raw >= static_cast<int>(by_fd_.size()))
+    by_fd_.resize(static_cast<std::size_t>(raw) + 64, nullptr);
+  by_fd_[static_cast<std::size_t>(raw)] = c;
+  by_id_[c->id] = c;
+  ++open_connections_;
+  if (obs::metrics_enabled())
+    LoopMetrics::get().connections.set(
+        static_cast<std::int64_t>(open_connections_));
+  return *c;
 }
 
 void NetServer::accept_admission() {
@@ -236,39 +282,9 @@ void NetServer::accept_admission() {
         LoopMetrics::get().accept_exhausted.add(1);
       return;
     }
-
-    Connection* c;
-    if (!free_.empty()) {
-      c = free_.back();
-      free_.pop_back();
-    } else {
-      slots_.push_back(
-          std::make_unique<Connection>(net_.read_buf, net_.write_buf));
-      c = slots_.back().get();
-    }
-    c->in.clear();
-    c->out.clear();
-    c->id = next_conn_id_++;
-    c->open = true;
-    c->telemetry = false;
-    c->paused = false;
-    c->closing = false;
-    c->want_write = false;
-    c->last_read_s = c->last_progress_s = now_s();
-
-    const int raw = fd.get();
-    c->fd = std::move(fd);
-    if (raw >= static_cast<int>(by_fd_.size()))
-      by_fd_.resize(static_cast<std::size_t>(raw) + 64, nullptr);
-    by_fd_[static_cast<std::size_t>(raw)] = c;
-    by_id_[c->id] = c;
-    poller_.add(raw, /*read=*/true, /*write=*/false);
-    ++open_connections_;
-    if (obs::metrics_enabled()) {
-      LoopMetrics& m = LoopMetrics::get();
-      m.accepted.add(1);
-      m.connections.set(static_cast<std::int64_t>(open_connections_));
-    }
+    Connection& c = open_connection(std::move(fd), /*closing=*/false);
+    poller_.add(c.fd.get(), /*read=*/true, /*write=*/false);
+    if (obs::metrics_enabled()) LoopMetrics::get().accepted.add(1);
   }
 }
 
@@ -281,56 +297,27 @@ void NetServer::accept_telemetry() {
         LoopMetrics::get().accept_exhausted.add(1);
       return;
     }
-
-    Connection* c;
-    if (!free_.empty()) {
-      c = free_.back();
-      free_.pop_back();
-    } else {
-      slots_.push_back(
-          std::make_unique<Connection>(net_.read_buf, net_.write_buf));
-      c = slots_.back().get();
-    }
-    c->in.clear();
-    c->out.clear();
-    c->id = next_conn_id_++;
-    c->open = true;
-    c->telemetry = true;
-    c->paused = false;
-    c->closing = true;  // write the scrape, then close
-    c->want_write = false;
-    c->last_read_s = c->last_progress_s = now_s();
-
+    // Write the scrape, then close.
+    Connection& c = open_connection(std::move(fd), /*closing=*/true);
     build_scrape(scrape_scratch_);
     // A scrape larger than the write buffer truncates rather than wedges;
     // with default sizes the registry would need thousands of metrics.
     const std::size_t n =
-        std::min(scrape_scratch_.size(), c->out.free_space());
-    c->out.append(reinterpret_cast<const std::uint8_t*>(
-                      scrape_scratch_.data()),
-                  n);
-
-    const int raw = fd.get();
-    c->fd = std::move(fd);
-    if (raw >= static_cast<int>(by_fd_.size()))
-      by_fd_.resize(static_cast<std::size_t>(raw) + 64, nullptr);
-    by_fd_[static_cast<std::size_t>(raw)] = c;
-    by_id_[c->id] = c;
-    poller_.add(raw, /*read=*/false, /*write=*/true);
-    c->want_write = true;
-    ++open_connections_;
-    if (obs::metrics_enabled()) {
-      LoopMetrics& m = LoopMetrics::get();
-      m.scrapes.add(1);
-      m.connections.set(static_cast<std::int64_t>(open_connections_));
-    }
-    flush_writes(*c);
+        std::min(scrape_scratch_.size(), c.out.free_space());
+    c.out.append(reinterpret_cast<const std::uint8_t*>(
+                     scrape_scratch_.data()),
+                 n);
+    poller_.add(c.fd.get(), /*read=*/false, /*write=*/true);
+    c.want_write = true;
+    if (obs::metrics_enabled()) LoopMetrics::get().scrapes.add(1);
+    flush_writes(c);
   }
 }
 
 void NetServer::on_readable(Connection& c) {
   const auto read_start = std::chrono::steady_clock::now();
   std::size_t total = 0;
+  std::uint64_t calls = 0;
   while (c.open && !c.paused) {
     std::uint8_t* dst = c.in.reserve(c.in.free_space());
     const std::size_t room = c.in.free_space();
@@ -339,25 +326,24 @@ void NetServer::on_readable(Connection& c) {
       // bounds every frame well below the buffer, so this is a protocol
       // violation, not congestion.
       send_error(c, WireError::kOversized, 0);
-      return;
+      break;
     }
     const ssize_t n = ::read(c.fd.get(), dst, room);
+    ++calls;
     if (n > 0) {
       c.in.commit(static_cast<std::size_t>(n));
       total += static_cast<std::size_t>(n);
       c.last_read_s = now_s();
-      if (!parse_frames(c)) return;  // connection errored/closed
+      if (!parse_frames(c)) break;  // connection errored/closed
       if (static_cast<std::size_t>(n) < room) break;  // drained the socket
       continue;
     }
-    if (n == 0) {  // orderly EOF
-      close_connection(c);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-    close_connection(c);  // ECONNRESET and friends
-    return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+      break;
+    close_connection(c);  // orderly EOF, or ECONNRESET and friends
+    break;
   }
+  if (obs::metrics_enabled()) LoopMetrics::get().read_calls.add(calls);
   if (total > 0) {
     if (obs::metrics_enabled()) LoopMetrics::get().bytes_in.add(total);
     if (obs::Tracer::enabled())
@@ -440,7 +426,8 @@ void NetServer::handle_request(Connection& c, const std::uint8_t* payload,
                w < 0.0 ? 0 : static_cast<std::uint32_t>(w));
     return;
   }
-  last_submit_wall_ = now_s();
+  // The read that carried this request stamped the clock already.
+  last_submit_wall_ = c.last_read_s;
   if (first_submit_wall_ < 0.0) first_submit_wall_ = last_submit_wall_;
 }
 
@@ -462,7 +449,17 @@ void NetServer::queue_frame(Connection& c, FrameType type,
   h.type = type;
   encode_header(h, buf);
   if (len > 0) std::memcpy(buf + kHeaderSize, payload, len);
-  if (!c.out.append(buf, kHeaderSize + len)) {
+  const std::size_t n = kHeaderSize + len;
+  // Backpressure and the hard cap count only bytes the kernel refused, so
+  // a frame that would cross the watermark or overflow the buffer first
+  // offers the queued bytes to the socket.
+  if (!c.out.empty() &&
+      ((!c.paused && c.out.size() + n > net_.write_high_watermark) ||
+       n > c.out.free_space())) {
+    flush_writes(c);
+    if (!c.open) return;
+  }
+  if (!c.out.append(buf, n)) {
     // Response backlog overflowed the hard cap: the peer is not reading.
     // Dropping the connection is the contract; its undecided requests (if
     // any) were already answered into this buffer and are lost with it.
@@ -477,7 +474,11 @@ void NetServer::queue_frame(Connection& c, FrameType type,
     update_interest(c);
     if (obs::metrics_enabled()) LoopMetrics::get().pauses.add(1);
   }
-  if (!c.want_write) flush_writes(c);
+  // A connection waiting for EPOLLOUT is flushed by on_writable instead.
+  if (!c.dirty && !c.want_write) {
+    c.dirty = true;
+    dirty_.push_back(&c);
+  }
 }
 
 void NetServer::queue_frame_to(std::uint64_t conn_id, FrameType type,
@@ -492,29 +493,38 @@ void NetServer::queue_frame_to(std::uint64_t conn_id, FrameType type,
 }
 
 void NetServer::flush_writes(Connection& c) {
+  if (!c.open) return;
   const auto write_start = std::chrono::steady_clock::now();
   std::size_t total = 0;
-  while (c.open && !c.out.empty()) {
+  std::uint64_t calls = 0;
+  bool failed = false;
+  while (!c.out.empty()) {
     const ssize_t n = ::write(c.fd.get(), c.out.data(), c.out.size());
+    ++calls;
     if (n > 0) {
       c.out.consume(static_cast<std::size_t>(n));
       total += static_cast<std::size_t>(n);
       c.last_progress_s = now_s();
       continue;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-    close_connection(c);
-    return;
+    failed = !(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR);
+    break;
   }
-  if (total > 0 && obs::metrics_enabled())
-    LoopMetrics::get().bytes_out.add(total);
+  if (obs::metrics_enabled()) {
+    LoopMetrics& m = LoopMetrics::get();
+    m.write_calls.add(calls);
+    if (total > 0) m.bytes_out.add(total);
+  }
   if (total > 0 && obs::Tracer::enabled())
     obs::Tracer::record(
         "net", "write", obs::Tracer::to_trace_ns(write_start),
         obs::Tracer::to_trace_ns(std::chrono::steady_clock::now()) -
             obs::Tracer::to_trace_ns(write_start),
         static_cast<std::int64_t>(total));
-  if (!c.open) return;
+  if (failed) {
+    close_connection(c);
+    return;
+  }
   if (c.out.empty()) {
     if (c.closing) {
       close_connection(c);
@@ -538,6 +548,14 @@ void NetServer::flush_writes(Connection& c) {
     }
     if (changed) update_interest(c);
   }
+}
+
+void NetServer::flush_dirty() {
+  for (Connection* c : dirty_) {
+    c->dirty = false;
+    if (c->open && !c->want_write) flush_writes(*c);
+  }
+  dirty_.clear();
 }
 
 void NetServer::on_writable(Connection& c) { flush_writes(c); }
@@ -615,8 +633,10 @@ void NetServer::drain() {
     telemetry_fd_.reset();
   }
 
-  // Decide everything buffered and seal the telemetry.
+  // Decide everything buffered and seal the telemetry, then offer the
+  // responses that queued; what the kernel refuses arms EPOLLOUT below.
   service_.drain();
+  flush_dirty();
   drained_wall_ = now_s();
   if (snapshot_) snapshot_->flush();
 
@@ -629,6 +649,7 @@ void NetServer::drain() {
       if (slot->open && !slot->out.empty()) backlog = true;
     if (!backlog) break;
     poller_.wait(20, events_);
+    if (obs::metrics_enabled()) LoopMetrics::get().poll_waits.add(1);
     for (const PollEvent& ev : events_) {
       Connection* c = ev.fd >= 0 && ev.fd < static_cast<int>(by_fd_.size())
                           ? by_fd_[static_cast<std::size_t>(ev.fd)]

@@ -11,10 +11,17 @@
 //     finalized telemetry row in the exact CSV encoding, plus the metrics
 //     registry snapshot), connection closes.  `nc host port` is a client.
 //
+// Responses are written once per loop pass: queueing a frame only appends
+// it to the connection's buffer and marks the connection dirty, and the
+// pass ends with one write(2) per dirty connection, so a closed batch of K
+// decisions leaves in one syscall, not K.  Error frames are written at once.
+//
 // Robustness model:
 //   * bounded per-connection buffers: reads stop (backpressure) while a
 //     connection's response backlog sits above the write high watermark,
-//     and resume when it drains below half of it;
+//     and resume when it drains below half of it.  The backlog counts only
+//     bytes the kernel refused: a frame that would cross the watermark or
+//     overflow the buffer first offers the queued bytes to the socket;
 //   * a global pending cap sheds the oldest undecided request
 //     (AdmissionService, kDropped frame, counted in the registry);
 //   * per-connection timeouts: a stalled partial frame (read), an
@@ -122,6 +129,10 @@ class NetServer {
 
   void accept_admission();
   void accept_telemetry();
+  /// A free (or new) slot reset for a freshly accepted fd, registered by
+  /// fd and id, and counted open; the poller registration is the caller's.
+  /// `closing`: close once the output buffer is written (a scrape).
+  Connection& open_connection(UniqueFd fd, bool closing);
   void on_readable(Connection& c);
   void on_writable(Connection& c);
   bool parse_frames(Connection& c);
@@ -133,6 +144,8 @@ class NetServer {
   void queue_frame_to(std::uint64_t conn_id, FrameType type,
                       const std::uint8_t* payload, std::size_t len);
   void flush_writes(Connection& c);
+  /// One flush per connection queued on since the last call.
+  void flush_dirty();
   void update_interest(Connection& c);
   void close_connection(Connection& c);
   void sweep_timeouts(double now_s);
@@ -153,6 +166,10 @@ class NetServer {
   /// after the connection count's high-water mark.
   std::vector<std::unique_ptr<Connection>> slots_;
   std::vector<Connection*> free_;
+  /// Connections with frames queued but not yet offered to the kernel,
+  /// each at most once (Connection::dirty); reserved along with slots_ so
+  /// queueing never allocates.
+  std::vector<Connection*> dirty_;
   std::vector<Connection*> by_fd_;  ///< index = fd, nullptr when unused
   std::unordered_map<std::uint64_t, Connection*> by_id_;
   std::vector<PollEvent> events_;

@@ -1,16 +1,20 @@
 // NetServer end to end over real loopback sockets: request/response round
 // trips, the FLUSH barrier, malformed-input error frames, partial writes,
-// mid-batch disconnects, the telemetry scrape, and graceful stop.  The
-// server runs on its own thread (which is also what gives TSan a
-// cross-thread schedule to check); clients are plain blocking sockets with
-// a receive timeout so a server bug fails the test instead of hanging it.
+// mid-batch disconnects, the telemetry scrape, graceful stop, one write per
+// flushed burst, and backpressure.  The server runs on its own thread
+// (which is also what gives TSan a cross-thread schedule to check);
+// clients are plain blocking sockets with a receive timeout so a server bug
+// fails the test instead of hanging it.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -19,6 +23,7 @@
 
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "workload/catalog.h"
 
 namespace facsp::net {
@@ -74,6 +79,26 @@ UniqueFd connect_client(std::uint16_t port) {
   return fd;
 }
 
+/// A client whose receive buffer is shrunk before connect, so the window
+/// it advertises matches the buffer (shrinking it after connect makes
+/// loopback drop and retransmit).  Invalid fd on failure.
+UniqueFd connect_small_rcvbuf(std::uint16_t port, int rcvbuf) {
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  timeval tv{5, 0};
+  if (!fd.valid() ||
+      ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf) <
+          0 ||
+      ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) < 0 ||
+      ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
+          0)
+    return UniqueFd();
+  return fd;
+}
+
 serve::StampedRequest request_at(double t, std::uint64_t id) {
   serve::StampedRequest r;
   r.req.now = t;
@@ -105,9 +130,75 @@ void send_flush(int fd) {
   send_all(fd, buf, sizeof buf);
 }
 
+/// `count` requests stamped `t` with ids first_id.., optionally followed by
+/// a FLUSH, in one buffer so one client write carries them all.
+std::vector<std::uint8_t> burst(double t, std::uint64_t first_id, int count,
+                                bool flush) {
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(count) *
+                                    kRequestFrameSize +
+                                (flush ? kFlushFrameSize : 0));
+  std::uint8_t* p = out.data();
+  for (int i = 0; i < count; ++i, p += kRequestFrameSize) {
+    encode_header({static_cast<std::uint32_t>(kRequestPayloadSize),
+                   FrameType::kRequest, kProtocolVersion, 0},
+                  p);
+    encode_request(request_at(t, first_id + static_cast<std::uint64_t>(i)),
+                   p + kHeaderSize);
+  }
+  if (flush) encode_header({0, FrameType::kFlush, kProtocolVersion, 0}, p);
+  return out;
+}
+
+/// Response ids up to the FLUSH echo (false if the stream ended first).
+bool read_until_echo(int fd, std::vector<std::uint64_t>& ids) {
+  Frame f;
+  while (read_frame(fd, f)) {
+    if (f.header.type == FrameType::kFlush) return true;
+    EXPECT_EQ(f.header.type, FrameType::kResponse);
+    ResponseFrame r;
+    EXPECT_EQ(decode_response(f.payload.data(), f.payload.size(), r),
+              WireError::kNone);
+    ids.push_back(r.id);
+  }
+  return false;
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::instance().counter(name).value();
+}
+
+/// Poll a registry counter (the server thread bumps it) until it reaches
+/// `target`; false after 60 s (sanitizer builds are slow).
+bool wait_for_counter(const char* name, std::uint64_t target) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (counter(name) < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Metrics on for one test: the server's net.* counters are what these
+/// tests observe.
+struct MetricsOn {
+  MetricsOn() { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(false); }
+  MetricsOn(const MetricsOn&) = delete;
+  MetricsOn& operator=(const MetricsOn&) = delete;
+};
+
+/// Quick idle flush: tests that skip the FLUSH barrier still see their
+/// responses promptly.
+NetConfig quick_idle_flush() {
+  NetConfig net;
+  net.flush_idle_s = 0.01;
+  return net;
+}
+
 class EventLoopTest : public ::testing::Test {
  protected:
-  void start(NetConfig net = {}) {
+  void start(NetConfig net = quick_idle_flush()) {
     serve_config_.scenario = workload::catalog_scenario("paper-grid");
     serve_config_.scenario_label = "paper-grid";
     serve_config_.shards = 2;
@@ -115,9 +206,6 @@ class EventLoopTest : public ::testing::Test {
     serve_config_.batch_max = 64;
     net.port = 0;
     net.telemetry_port = 0;
-    // Quick idle flush: tests that skip the FLUSH barrier still see their
-    // responses promptly.
-    net.flush_idle_s = 0.01;
     server_ = std::make_unique<NetServer>(serve_config_, net);
     thread_ = std::thread([this] { server_->run(); });
   }
@@ -503,6 +591,136 @@ TEST_F(EventLoopTest, StopSealsTelemetryAndReportsResult) {
   ASSERT_EQ(result.telemetry.size(), 2u);  // seconds 0 and 1
   EXPECT_EQ(result.total_decisions, 2);
   EXPECT_GE(result.wall_s, 0.0);
+}
+
+TEST_F(EventLoopTest, FlushedBurstLeavesInOneWrite) {
+  MetricsOn metrics;
+  NetConfig net;
+  net.flush_idle_s = 3600.0;  // only the FLUSH closes the batches
+  start(net);
+  const std::uint64_t writes_before = counter("net.write_calls");
+  constexpr int kBurst = 20;  // below batch_max: nothing closes early
+  ASSERT_LT(kBurst, serve_config_.batch_max);
+  UniqueFd fd = connect_client(server_->admission_port());
+  const std::vector<std::uint8_t> bytes = burst(0.1, 100, kBurst, true);
+  send_all(fd.get(), bytes.data(), bytes.size());
+
+  std::vector<std::uint64_t> ids;
+  ASSERT_TRUE(read_until_echo(fd.get(), ids));
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kBurst));
+  for (int i = 0; i < kBurst; ++i) EXPECT_EQ(ids[i], 100u + i) << i;
+
+  // Joining orders the server's counter update before this read.
+  server_->request_stop();
+  thread_.join();
+  EXPECT_EQ(counter("net.write_calls") - writes_before, 1u);
+}
+
+TEST_F(EventLoopTest, BurstLargerThanWriteBufferIsDeliveredWhole) {
+  NetConfig net = quick_idle_flush();
+  net.write_buf = 8 * 1024;
+  net.write_high_watermark = 6 * 1024;
+  start(net);
+  // 1000 responses are 32 KB, four times the write buffer: responses must
+  // be offered to the kernel as they queue, not held to the end of the
+  // loop pass and then dropped at the hard cap.
+  constexpr int kBurst = 1000;
+  UniqueFd fd = connect_client(server_->admission_port());
+  std::vector<std::uint64_t> ids;
+  bool echoed = false;
+  std::thread reader([&] { echoed = read_until_echo(fd.get(), ids); });
+  const std::vector<std::uint8_t> bytes = burst(0.1, 1, kBurst, true);
+  send_all(fd.get(), bytes.data(), bytes.size());
+  reader.join();
+  ASSERT_TRUE(echoed);
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kBurst));
+  for (int i = 0; i < kBurst; ++i) EXPECT_EQ(ids[i], 1u + i) << i;
+
+  // Still open: the next request is answered.
+  send_request(fd.get(), request_at(0.2, 5000));
+  send_flush(fd.get());
+  ids.clear();
+  ASSERT_TRUE(read_until_echo(fd.get(), ids));
+  EXPECT_EQ(ids, std::vector<std::uint64_t>{5000});
+}
+
+TEST_F(EventLoopTest, StalledReaderPausesThenGetsEveryResponse) {
+  MetricsOn metrics;
+  NetConfig net = quick_idle_flush();
+  // One read's responses (at most 42 requests plus the two shards' open
+  // batches) fit between the watermark and the hard cap, so a pause never
+  // escalates to a drop.
+  net.read_buf = kHeaderSize + kMaxPayload;
+  net.write_buf = 16 * 1024;
+  net.write_high_watermark = 8 * 1024;
+  start(net);
+  const std::uint64_t pauses_before = counter("net.backpressure_pauses");
+  UniqueFd fd = connect_small_rcvbuf(server_->admission_port(), 4096);
+  ASSERT_TRUE(fd.valid());
+
+  // The sender streams requests until the server has paused this
+  // connection; nothing reads meanwhile, so the kernel buffers fill and
+  // the response backlog climbs past the watermark.  On loopback the
+  // server's send buffer autotunes to a few MiB, so that takes ~10^5
+  // requests.
+  constexpr int kChunk = 64;
+  constexpr int kMaxRequests = 400000;
+  std::atomic<bool> stop{false};
+  int sent = 0;
+  std::thread sender([&] {
+    while (!stop.load() && sent < kMaxRequests) {
+      const std::vector<std::uint8_t> bytes =
+          burst(0.1, static_cast<std::uint64_t>(sent), kChunk, false);
+      send_all(fd.get(), bytes.data(), bytes.size());
+      sent += kChunk;
+    }
+    send_flush(fd.get());
+  });
+  const bool paused = wait_for_counter("net.backpressure_pauses",
+                                       pauses_before + 1);
+  stop.store(true);
+
+  // Reading again resumes the connection; every request is answered
+  // before the echo.
+  std::vector<std::uint64_t> ids;
+  const bool echoed = read_until_echo(fd.get(), ids);
+  sender.join();
+  EXPECT_TRUE(paused);
+  ASSERT_TRUE(echoed);
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(sent));
+  std::sort(ids.begin(), ids.end());
+  for (int i = 0; i < sent; ++i) ASSERT_EQ(ids[i], static_cast<std::uint64_t>(i));
+}
+
+TEST_F(EventLoopTest, StopDeliversResponsesQueuedByTheDrain) {
+  MetricsOn metrics;
+  NetConfig net;
+  net.flush_idle_s = 3600.0;  // batches stay open until the drain
+  start(net);
+  const std::uint64_t frames_before = counter("net.frames_in");
+  constexpr int kBurst = 10;
+  UniqueFd fd = connect_client(server_->admission_port());
+  const std::vector<std::uint8_t> bytes = burst(0.1, 300, kBurst, false);
+  send_all(fd.get(), bytes.data(), bytes.size());
+  ASSERT_TRUE(wait_for_counter("net.frames_in", frames_before + kBurst));
+
+  // Nothing is decided yet; the drain decides and must still write.
+  server_->request_stop();
+  std::vector<std::uint64_t> ids;
+  Frame f;
+  while (read_frame(fd.get(), f)) {
+    ASSERT_EQ(f.header.type, FrameType::kResponse);
+    ResponseFrame r;
+    ASSERT_EQ(decode_response(f.payload.data(), f.payload.size(), r),
+              WireError::kNone);
+    ids.push_back(r.id);
+  }
+  thread_.join();
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kBurst));
+  for (int i = 0; i < kBurst; ++i) EXPECT_EQ(ids[i], 300u + i) << i;
 }
 
 TEST(NetConfigValidate, RejectsNonsense) {
