@@ -94,8 +94,8 @@ class TrafficGenerator {
   std::vector<CallRequest> generate(int n, sim::SimTime t0 = 0.0);
 
   /// Like generate(), but fills `out` (cleared first) reusing its capacity
-  /// and the internal arrival-time scratch: with the default arrival process
-  /// and a constant mix, steady-state calls perform no heap allocation.
+  /// and the internal arrival-time scratch: with any arrival process and a
+  /// constant mix, steady-state calls perform no heap allocation.
   void generate_into(int n, sim::SimTime t0, std::vector<CallRequest>& out);
 
   const TrafficConfig& config() const noexcept { return config_; }

@@ -180,7 +180,8 @@ cellular::MobileState MultiCellEngine::entry_state(
 void MultiCellEngine::route_epoch(sim::SimTime t_end) {
   // stats_ is a member so the per-barrier buffers (routes in particular)
   // persist: clear() keeps capacity, and steady-state barriers allocate
-  // nothing even with an observer attached (bench_multicell audits this).
+  // nothing even with an observer attached (audited by
+  // MultiCellAlloc.EpochObserverAddsOnlyOneTimeBufferGrowth).
   EpochStats& es = stats_;
   es.t_end = t_end;
   es.departures = es.delivered = es.left_world = 0;

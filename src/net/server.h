@@ -21,7 +21,13 @@
 //     connection's response backlog sits above the write high watermark,
 //     and resume when it drains below half of it.  The backlog counts only
 //     bytes the kernel refused: a frame that would cross the watermark or
-//     overflow the buffer first offers the queued bytes to the socket;
+//     overflow the buffer first offers the queued bytes to the socket.
+//     Accepted sockets get no SO_SNDBUF, so the kernel send buffer in
+//     front of the watermark autotunes (on loopback up to tcp_wmem's max,
+//     about 4 MiB), and the watermark bounds only the user-space part of a
+//     stalled reader's backlog.  In
+//     EventLoopTest.StalledReaderPausesThenGetsEveryResponse the first
+//     pause came after about 132k requests (4.2 MB of responses);
 //   * a global pending cap sheds the oldest undecided request
 //     (AdmissionService, kDropped frame, counted in the registry);
 //   * per-connection timeouts: a stalled partial frame (read), an
@@ -35,7 +41,8 @@
 // Steady-state serving allocates nothing: connections and their buffers
 // come from a free pool (the first accept of a slot allocates, reuse
 // doesn't), frames decode on the stack, and the service's buffers are
-// pre-reserved.  bench_net.cc audits the whole loopback path.
+// pre-reserved.  NetAlloc.WarmLoopbackStreamAllocatesTheSameFor4And8Seconds
+// (facsp_alloc_tests) audits the whole loopback path.
 #pragma once
 
 #include <cstdint>

@@ -11,9 +11,9 @@
 //     lifetime; reset_values() zeroes values without invalidating anything.
 //   * Recording (Counter::add, Gauge::set, Histogram::record) is a handful
 //     of relaxed atomics: lock-free, allocation-free, wait-free apart from
-//     the histogram max update.  The counting-operator-new audits in
-//     bench_server / bench_multicell run with metrics enabled to enforce the
-//     zero-steady-state-allocation claim.
+//     the histogram max update.  The counting-operator-new tests
+//     ServeAlloc.* and MultiCellAlloc.* (facsp_alloc_tests) run with
+//     metrics enabled to enforce the zero-steady-state-allocation claim.
 //   * Observability never feeds back into simulation state or RNG streams:
 //     telemetry CSVs and ResultTables are byte-identical with metrics on or
 //     off (ctest + CI enforced, see docs/observability.md).

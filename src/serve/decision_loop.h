@@ -25,8 +25,8 @@
 // std::function) — so once warm, serving a second performs no heap
 // allocation except one BaseStation ledger node per *admitted* call
 // (bounded by capacity churn, ~capacity/mean_holding per second, not by
-// the request rate).  bench_server.cc audits this with a counting
-// operator new.
+// the request rate).  ServeAlloc.* in facsp_alloc_tests audits this with
+// a counting operator new, with observability off and on.
 #pragma once
 
 #include <cstdint>

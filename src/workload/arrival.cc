@@ -70,7 +70,7 @@ class ConditionedUniformArrivals final : public ArrivalProcess {
 
   void generate(int n, sim::SimTime t0, double window_s,
                 sim::RandomStream& rng,
-                std::vector<sim::SimTime>& out) const override {
+                std::vector<sim::SimTime>& out) override {
     out.clear();
     for (int i = 0; i < n; ++i) out.push_back(t0 + rng.uniform(0.0, window_s));
     std::sort(out.begin(), out.end());
@@ -90,7 +90,7 @@ class OnOffArrivals final : public ArrivalProcess {
 
   void generate(int n, sim::SimTime t0, double window_s,
                 sim::RandomStream& rng,
-                std::vector<sim::SimTime>& out) const override {
+                std::vector<sim::SimTime>& out) override {
     out.clear();
     if (n <= 0) return;
     if (window_s <= 0.0) {
@@ -99,21 +99,22 @@ class OnOffArrivals final : public ArrivalProcess {
     }
 
     // Phase path: alternating ON/OFF segments covering [0, window].  The
-    // initial phase follows the stationary distribution.
-    struct Segment {
-      double start;
-      double cum_mass;  // cumulative intensity mass up to segment start
-      double rate;
-    };
-    std::vector<Segment> segments;
-    const double p_on = spec_.mean_on_s / (spec_.mean_on_s + spec_.mean_off_s);
+    // initial phase follows the stationary distribution.  The buffer is
+    // sized once for four times the window's expected segment count, so a
+    // warm process does not allocate unless a path lands in the far tail.
+    const double cycle_s = spec_.mean_on_s + spec_.mean_off_s;
+    const std::size_t typical =
+        static_cast<std::size_t>(std::min(8.0 * window_s / cycle_s, 1e6)) + 16;
+    if (segments_.capacity() < typical) segments_.reserve(typical);
+    segments_.clear();
+    const double p_on = spec_.mean_on_s / cycle_s;
     bool on = rng.bernoulli(p_on);
     double t = 0.0, mass = 0.0;
     while (t < window_s) {
       const double rate = on ? spec_.on_rate : spec_.off_rate;
       const double sojourn =
           rng.exponential(on ? spec_.mean_on_s : spec_.mean_off_s);
-      segments.push_back({t, mass, rate});
+      segments_.push_back({t, mass, rate});
       const double len = std::min(sojourn, window_s - t);
       mass += rate * len;
       t += sojourn;
@@ -131,15 +132,15 @@ class OnOffArrivals final : public ArrivalProcess {
     for (int i = 0; i < n; ++i) {
       const double u = rng.uniform(0.0, mass);
       // Last segment whose cum_mass <= u.
-      std::size_t lo = 0, hi = segments.size() - 1;
+      std::size_t lo = 0, hi = segments_.size() - 1;
       while (lo < hi) {
         const std::size_t mid = (lo + hi + 1) / 2;
-        if (segments[mid].cum_mass <= u)
+        if (segments_[mid].cum_mass <= u)
           lo = mid;
         else
           hi = mid - 1;
       }
-      const Segment& seg = segments[lo];
+      const Segment& seg = segments_[lo];
       const double within =
           seg.rate > 0.0 ? (u - seg.cum_mass) / seg.rate : 0.0;
       out.push_back(t0 + std::min(seg.start + within, window_s));
@@ -148,7 +149,14 @@ class OnOffArrivals final : public ArrivalProcess {
   }
 
  private:
+  struct Segment {
+    double start;
+    double cum_mass;  // cumulative intensity mass up to segment start
+    double rate;
+  };
+
   ArrivalSpec spec_;
+  std::vector<Segment> segments_;  // phase-path scratch, reused every call
 };
 
 /// Non-homogeneous "diurnal" intensity lambda(t) = 1 + a*sin(2*pi*t/P + phi),
@@ -163,7 +171,7 @@ class DiurnalArrivals final : public ArrivalProcess {
 
   void generate(int n, sim::SimTime t0, double window_s,
                 sim::RandomStream& rng,
-                std::vector<sim::SimTime>& out) const override {
+                std::vector<sim::SimTime>& out) override {
     out.clear();
     if (n <= 0) return;
     if (window_s <= 0.0) {
@@ -203,7 +211,7 @@ class FlashCrowdArrivals final : public ArrivalProcess {
 
   void generate(int n, sim::SimTime t0, double window_s,
                 sim::RandomStream& rng,
-                std::vector<sim::SimTime>& out) const override {
+                std::vector<sim::SimTime>& out) override {
     out.clear();
     if (n <= 0) return;
     if (window_s <= 0.0) {

@@ -77,11 +77,12 @@ class ArrivalProcess {
 
   /// Clear `out` and fill it with exactly `n` arrival times in
   /// [t0, t0 + window_s], sorted ascending.  All randomness comes from
-  /// `rng`.  Reuses out's capacity: with enough capacity the default
-  /// conditioned-uniform process performs no heap allocation.
+  /// `rng`.  Reuses out's capacity, and a process keeps its own scratch
+  /// across calls (so one process serves one caller): once warm, no
+  /// process performs a heap allocation.
   virtual void generate(int n, sim::SimTime t0, double window_s,
                         sim::RandomStream& rng,
-                        std::vector<sim::SimTime>& out) const = 0;
+                        std::vector<sim::SimTime>& out) = 0;
 };
 
 /// Factory over the spec (validates it first).

@@ -1,0 +1,107 @@
+// Steady-state allocation tests for the multi-cell engine (counter:
+// tests/alloc_counter.h):
+//
+//   * an epoch observer costs only one-time buffer growth: EpochStats and
+//     its routes persist across barriers, so an observed handover-storm run
+//     allocates at most 64 more times than an identical unobserved one;
+//   * decide_batch through make_facs_p_factory(), on the inter-cell handoff
+//     batches the drain loop presents, allocates nothing once warm with
+//     metrics and tracing on — and the tracer proves the spans were
+//     recorded, so the audit is not vacuous.
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "cac/policy.h"
+#include "cellular/network.h"
+#include "core/multicell.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "sim/rng.h"
+#include "workload/catalog.h"
+
+#include "../alloc_counter.h"
+
+namespace facsp::core {
+namespace {
+
+using testutil::allocations;
+
+TEST(MultiCellAlloc, EpochObserverAddsOnlyOneTimeBufferGrowth) {
+  const ScenarioConfig scen =
+      workload::catalog_scenario("multicell-handover-storm");
+  const auto run_once = [&scen](bool observed) {
+    MultiCellEngine engine(scen, make_facs_p_factory(), 0);
+    std::uint64_t sink = 0;
+    if (observed)
+      engine.set_epoch_observer(
+          [&sink](const MultiCellEngine::EpochStats& es) {
+            sink += es.departures + es.routes.size();
+          });
+    const std::size_t before = allocations();
+    engine.run(100);
+    return allocations() - before;
+  };
+  run_once(false);  // warm catalog/config one-time state
+  const std::size_t plain = run_once(false);
+  const std::size_t observed = run_once(true);
+  EXPECT_LE(observed, plain + 64)
+      << "observed run made " << observed << " allocations, plain run "
+      << plain;
+}
+
+/// Inter-cell handoff batch: the request mix the engine's drain loop
+/// presents to decide_batch.
+std::vector<cac::AdmissionRequest> handoff_batch(std::size_t count) {
+  sim::RandomStream rng(7);
+  std::vector<cac::AdmissionRequest> reqs;
+  reqs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    cac::AdmissionRequest req;
+    req.id = 1 + i;
+    const auto svc = static_cast<cellular::ServiceClass>(rng.uniform_int(0, 2));
+    req.service = svc;
+    req.bandwidth = cellular::service_bandwidth(svc);
+    req.kind = cellular::RequestKind::kHandoff;
+    req.speed_kmh = rng.uniform(0.0, 120.0);
+    req.angle_deg = rng.uniform(-60.0, 60.0);
+    req.distance_m = 400.0;
+    req.mobile.position = {-400.0, 0.0};
+    req.mobile.speed_kmh = req.speed_kmh;
+    req.mobile.heading_deg = req.angle_deg;
+    req.now = 100.0;
+    reqs.push_back(req);
+  }
+  return reqs;
+}
+
+TEST(MultiCellAlloc, WarmDecideBatchAllocatesNothingWithObservabilityOn) {
+  constexpr std::size_t kBatch = 64;
+  constexpr int kBatches = 2000;
+  const cellular::CellularNetwork network(0, 500.0, 40.0);
+  sim::RngFactory rng(42);
+  const auto policy = make_facs_p_factory()(network, rng);
+  const std::vector<cac::AdmissionRequest> reqs = handoff_batch(kBatch);
+  std::vector<cac::AdmissionDecision> out(kBatch);
+
+  // Metric registration and the thread's trace ring allocate during the
+  // warm-up call, before the counted region.
+  obs::set_metrics_enabled(true);
+  obs::Tracer::start();
+  policy->decide_batch(reqs, network.center(), out);
+
+  const std::size_t before = allocations();
+  for (int b = 0; b < kBatches; ++b)
+    policy->decide_batch(reqs, network.center(), out);
+  const std::size_t allocated = allocations() - before;
+  const std::uint64_t traced = obs::Tracer::recorded_events();
+  obs::Tracer::clear();
+  obs::set_metrics_enabled(false);
+
+  EXPECT_EQ(allocated, 0u);
+  // Every counted decide_batch call records a span.
+  EXPECT_GE(traced, static_cast<std::uint64_t>(kBatches));
+}
+
+}  // namespace
+}  // namespace facsp::core

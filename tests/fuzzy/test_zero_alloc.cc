@@ -1,44 +1,18 @@
-// Steady-state allocation tests for the fuzzy fast path.
-//
-// A replacement global operator new/delete counts every heap allocation in
-// the process; the tests warm a controller up, then assert that further
-// evaluations allocate nothing.  This lives in its own binary so the counter
-// never observes unrelated suites.
+// Steady-state allocation tests for the fuzzy fast path and the FACS-P
+// admission decision: warm a controller or policy up, then assert that
+// further evaluations allocate nothing (counter: tests/alloc_counter.h).
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-namespace {
-
-std::atomic<std::size_t> g_alloc_count{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 #include "cac/facs_p.h"
 #include "cellular/basestation.h"
 #include "fuzzy/controller.h"
 
+#include "../alloc_counter.h"
+
 namespace facsp::fuzzy {
 namespace {
 
-std::size_t allocations() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
+using testutil::allocations;
 
 TEST(ZeroAlloc, CounterObservesHeapAllocations) {
   const std::size_t before = allocations();

@@ -6,9 +6,7 @@
 // deployment should configure it.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,6 +19,8 @@
 #include "serve/decision_loop.h"
 #include "workload/catalog.h"
 
+#include "client.h"
+
 namespace facsp::net {
 namespace {
 
@@ -28,25 +28,6 @@ std::string telemetry_csv(const serve::ServerResult& r) {
   std::ostringstream os;
   serve::write_telemetry_csv(r, os);
   return os.str();
-}
-
-void send_all(int fd, const std::uint8_t* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    ASSERT_GT(w, 0) << "client write failed: " << std::strerror(errno);
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-}
-
-bool read_exact(int fd, std::uint8_t* p, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, p + got, n - got);
-    if (r <= 0) return false;
-    got += static_cast<std::size_t>(r);
-  }
-  return true;
 }
 
 TEST(NetDeterminism, SocketPathMatchesInProcessReplayByteForByte) {
