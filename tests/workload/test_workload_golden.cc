@@ -79,5 +79,30 @@ TEST(WorkloadGolden, FixedSpeedVariantBitIdentical) {
                 {50, 1, 92, 0, 12.518609962157157, 100}});
 }
 
+// SCC (the Fig. 7 baseline) runs its own geometry code: shadow
+// projections through HexLayout::cell_at over Gauss-Hermite heading nodes.
+// These cells pin its results at full precision so a speed-up of the
+// projection cannot move a bit.  Captured from commit 0056a99.
+TEST(WorkloadGolden, SccHandoverStormSevenCellsBitIdentical) {
+  const ScenarioConfig storm =
+      workload::catalog_scenario("multicell-handover-storm");
+  ASSERT_EQ(storm.multicell.cells, 7);
+  expect_cells(storm, make_scc_factory(), "SCC storm",
+               {{100, 0, 88.571428571428569, 8.2914572864321574,
+                 31.337620498105039, 94.677419354838705},
+                {100, 1, 92, 12.435233160621761, 32.486413644334363,
+                 92.546583850931668},
+                {100, 2, 90.571428571428569, 6.6974595842956175,
+                 33.117677405244415, 95.425867507886437}});
+}
+
+TEST(WorkloadGolden, SccPaperScenarioBitIdentical) {
+  // rings = 1: every decide() checks a seven-cell shadow cluster.
+  expect_cells(paper_scenario(), make_scc_factory(), "SCC",
+               {{60, 0, 91.666666666666657, 0, 10.781808105703449, 100},
+                {60, 1, 90, 0, 11.992189683646114, 100},
+                {60, 2, 78.333333333333329, 0, 17.096730836569897, 100}});
+}
+
 }  // namespace
 }  // namespace facsp::core
