@@ -28,6 +28,40 @@ constexpr std::array<GhNode, 7> kGaussHermite = {{
     {2.651961356835233, 0.0009717812450995192 / 1.7724538509055160},
 }};
 
+// The probability of a cell every node lands in: the weights summed in node
+// order, exactly as the node loop sums them.
+constexpr double kAllNodes = [] {
+  double p = 0.0;
+  for (const GhNode& node : kGaussHermite) p += node.w;
+  return std::min(p, 1.0);
+}();
+
+enum class Cover { kNone, kAll, kSome };
+
+// Where a reach circle (centre `mobile`, radius |reach|) lies against the
+// hexagon of circumradius `radius` centred at `centre`.  Every point of the
+// circle is between |d - reach| and d + reach from the centre, so beyond the
+// circumcircle no node can land in the cell and inside the incircle every
+// node does.  The slack (a nanometre per kilometre of geometry plus a
+// micrometre) dwarfs the rounding of the projection and of
+// HexLayout::cell_at, so a decided case always agrees with the node loop;
+// only the band around the hexagon's edge falls through to that loop.
+Cover cover(const cellular::MobileState& mobile, double reach,
+            const cellular::Point& centre, double radius) {
+  if (!std::isfinite(mobile.heading_deg)) return Cover::kSome;
+  const double dx = mobile.position.x - centre.x;
+  const double dy = mobile.position.y - centre.y;
+  const double d = std::sqrt(dx * dx + dy * dy);
+  const double r = std::fabs(reach);
+  const double slack =
+      1e-9 * (radius + d + r + std::fabs(mobile.position.x) +
+              std::fabs(mobile.position.y)) +
+      1e-6;
+  if (std::fabs(d - r) > radius + slack) return Cover::kNone;
+  if (d + r + slack < radius * (std::sqrt(3.0) / 2.0)) return Cover::kAll;
+  return Cover::kSome;
+}
+
 }  // namespace
 
 void SccConfig::validate() const {
@@ -46,6 +80,8 @@ SccPolicy::SccPolicy(const cellular::CellularNetwork& network,
                      SccConfig config)
     : network_(network), config_(config) {
   config_.validate();
+  const auto rad = static_cast<std::size_t>(config_.cluster_radius);
+  cluster_.reserve(1 + 3 * rad * (rad + 1));
 }
 
 double SccPolicy::heading_sigma_deg(double speed_kmh) const noexcept {
@@ -59,26 +95,49 @@ double SccPolicy::survival(double tau) const noexcept {
   return std::exp(-tau / config_.mean_holding_s);
 }
 
-double SccPolicy::cell_probability(const cellular::MobileState& state,
-                                   const cellular::HexCoord& cell,
-                                   double tau) const {
-  FACSP_EXPECTS(tau >= 0.0);
-  const double v_ms = state.speed_kmh / 3.6;
+SccPolicy::Projection::Projection(const cellular::MobileState& s, double t)
+    : state(s), tau(t), reach(s.speed_kmh / 3.6 * t) {}
+
+void SccPolicy::project(Projection& pr) const {
+  const cellular::MobileState& state = pr.state;
   const double sigma = heading_sigma_deg(state.speed_kmh);
   // Heading diffuses over time: after tau seconds of random steering the
   // accumulated deviation grows like sqrt(tau / 60 s) of the per-minute
   // volatility — slow users' shadows widen much faster than vehicles'.
-  const double spread = sigma * std::sqrt(std::max(tau, 1.0) / 60.0);
-
-  double p = 0.0;
-  for (const GhNode& node : kGaussHermite) {
+  const double spread = sigma * std::sqrt(std::max(pr.tau, 1.0) / 60.0);
+  for (std::size_t i = 0; i < kGaussHermite.size(); ++i) {
     const double h = deg_to_rad(
-        state.heading_deg + std::sqrt(2.0) * spread * node.t);
-    const cellular::Point proj{state.position.x + v_ms * tau * std::cos(h),
-                               state.position.y + v_ms * tau * std::sin(h)};
-    if (network_.layout().cell_at(proj) == cell) p += node.w;
+        state.heading_deg + std::sqrt(2.0) * spread * kGaussHermite[i].t);
+    const cellular::Point proj{state.position.x + pr.reach * std::cos(h),
+                               state.position.y + pr.reach * std::sin(h)};
+    pr.cells[i] = network_.layout().cell_at(proj);
   }
+  pr.projected = true;
+}
+
+double SccPolicy::probability(Projection& pr, const cellular::HexCoord& cell,
+                              const cellular::Point& centre) const {
+  switch (cover(pr.state, pr.reach, centre, network_.layout().cell_radius())) {
+    case Cover::kNone:
+      return 0.0;
+    case Cover::kAll:
+      return kAllNodes;
+    case Cover::kSome:
+      break;
+  }
+  if (!pr.projected) project(pr);
+  double p = 0.0;
+  for (std::size_t i = 0; i < kGaussHermite.size(); ++i)
+    if (pr.cells[i] == cell) p += kGaussHermite[i].w;
   return std::min(p, 1.0);
+}
+
+double SccPolicy::cell_probability(const cellular::MobileState& state,
+                                   const cellular::HexCoord& cell,
+                                   double tau) const {
+  FACSP_EXPECTS(tau >= 0.0);
+  Projection pr(state, tau);
+  return probability(pr, cell, network_.layout().center(cell));
 }
 
 double SccPolicy::projected_demand(const cellular::HexCoord& cell,
@@ -100,34 +159,52 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
     return d;
   }
 
+  // The requester's shadow cluster, restricted to the modelled disc.
+  cluster_.clear();
+  cellular::for_each_in_disc(
+      bs.coord(), config_.cluster_radius, [this](const cellular::HexCoord& c) {
+        if (const cellular::BaseStation* target = network_.station_at(c))
+          cluster_.push_back(
+              ClusterCell{c, network_.layout().center(c), target, 0.0, 0.0});
+      });
+
   // Capacity headroom check for every cell of the requester's shadow
   // cluster over every future window, with the requester's own tentative
-  // shadow included.
+  // shadow included.  Each (mobile, window) pair is projected at most once
+  // and credited to every cluster cell; a cell's demand still sums the
+  // actives in map order, so it equals projected_demand() bit for bit.
   double worst_margin = 1.0;  // fraction of capacity left, worst case
-  const auto cluster =
-      cellular::hex_disc(bs.coord(), config_.cluster_radius);
   for (int k = 1; k <= config_.windows; ++k) {
     const double tau = k * config_.window_s;
     const double surv = survival(tau);
-    for (const cellular::HexCoord& cell : cluster) {
-      const cellular::BaseStation* target = network_.station_at(cell);
-      if (target == nullptr) continue;  // outside the modelled disc
-      const double p_reach = cell_probability(req.mobile, cell, tau);
+    for (ClusterCell& c : cluster_) c.demand = c.own = 0.0;
+    // A handoff requester is still registered as an active mobile (its
+    // source-cell release happens only after admission); its existing
+    // shadow is subtracted below so it is not counted twice.
+    bool registered = false;
+    for (const auto& [id, a] : actives_) {
+      Projection pr(a.state, tau);
+      const bool self = id == req.id;
+      registered = registered || self;
+      for (ClusterCell& c : cluster_) {
+        const double share = probability(pr, c.coord, c.centre) * a.bw * surv;
+        c.demand += share;
+        if (self) c.own = share;
+      }
+    }
+    Projection requester(req.mobile, tau);
+    for (const ClusterCell& c : cluster_) {
+      const double p_reach = probability(requester, c.coord, c.centre);
       const double req_share =
           config_.tentative_full_bandwidth
               ? (p_reach > config_.reach_probability_min ? req.bandwidth
                                                          : p_reach *
                                                                req.bandwidth)
               : p_reach * req.bandwidth * surv;
-      double demand = projected_demand(cell, tau) + req_share;
-      // A handoff requester is still registered as an active mobile (its
-      // source-cell release happens only after admission); subtract its
-      // existing shadow so it is not counted twice.
-      if (const auto it = actives_.find(req.id); it != actives_.end())
-        demand -= cell_probability(it->second.state, cell, tau) *
-                  it->second.bw * surv;
-      const double cap = config_.admit_threshold * target->capacity();
-      const double margin = (cap - demand) / target->capacity();
+      double demand = c.demand + req_share;
+      if (registered) demand -= c.own;
+      const double cap = config_.admit_threshold * c.station->capacity();
+      const double margin = (cap - demand) / c.station->capacity();
       worst_margin = std::min(worst_margin, margin);
     }
   }

@@ -16,8 +16,16 @@
 // (slow => volatile), integrated with 7-point Gauss-Hermite quadrature.
 // Call survival over tau is exponential (paper workloads use exponential
 // holding times).
+//
+// Every node of one projection lies on the circle of radius |v|*tau around
+// the mobile.  When that circle clears a cell's circumcircle or stays inside
+// its incircle by a safety margin, the cell's probability is known without
+// projecting a node, and decide() projects each (mobile, window) pair at most
+// once for its whole cluster; both leave every result bit-identical to the
+// plain seven-node loop (docs/performance.md, "SCC shadow projection").
 #pragma once
 
+#include <array>
 #include <unordered_map>
 #include <vector>
 
@@ -102,12 +110,38 @@ class SccPolicy final : public AdmissionPolicy {
     cellular::Bandwidth bw;
   };
 
+  // One mobile's shadow at one window: the reach circle every heading node
+  // lies on and, once some cell needs them, the cells the nodes land in.
+  struct Projection {
+    const cellular::MobileState& state;
+    double tau;
+    double reach;  // signed v*tau; the circle's radius is |reach|
+    bool projected = false;
+    std::array<cellular::HexCoord, 7> cells{};
+
+    Projection(const cellular::MobileState& s, double t);
+  };
+
+  // A cell of the current decide()'s shadow cluster and its sums for the
+  // window being checked.
+  struct ClusterCell {
+    cellular::HexCoord coord;
+    cellular::Point centre;
+    const cellular::BaseStation* station;
+    double demand;  // projected demand of every active
+    double own;     // the requester's registered shadow, if it has one
+  };
+
   double heading_sigma_deg(double speed_kmh) const noexcept;
   double survival(double tau) const noexcept;
+  void project(Projection& pr) const;
+  double probability(Projection& pr, const cellular::HexCoord& cell,
+                     const cellular::Point& centre) const;
 
   const cellular::CellularNetwork& network_;
   SccConfig config_;
   std::unordered_map<cellular::ConnectionId, Active> actives_;
+  std::vector<ClusterCell> cluster_;  // decide() scratch, reserved up front
 };
 
 }  // namespace facsp::cac

@@ -60,12 +60,8 @@ std::vector<HexCoord> hex_disc(const HexCoord& center, int radius) {
   FACSP_EXPECTS(radius >= 0);
   std::vector<HexCoord> out;
   out.reserve(static_cast<std::size_t>(1 + 3 * radius * (radius + 1)));
-  for (int q = -radius; q <= radius; ++q) {
-    const int r_lo = std::max(-radius, -q - radius);
-    const int r_hi = std::min(radius, -q + radius);
-    for (int r = r_lo; r <= r_hi; ++r)
-      out.push_back(HexCoord{center.q + q, center.r + r});
-  }
+  for_each_in_disc(center, radius,
+                   [&out](const HexCoord& h) { out.push_back(h); });
   return out;
 }
 

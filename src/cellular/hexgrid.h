@@ -6,6 +6,7 @@
 // point->cell lookup (cube rounding), neighbourhoods, rings and distances.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -60,6 +61,17 @@ std::vector<HexCoord> hex_ring(const HexCoord& center, int radius);
 /// All coordinates within `radius` hops of center (a filled disc; size
 /// 1 + 3*radius*(radius+1)).
 std::vector<HexCoord> hex_disc(const HexCoord& center, int radius);
+
+/// Calls f(coord) for every coordinate of hex_disc(center, radius), in the
+/// same order, without building the vector.
+template <class F>
+void for_each_in_disc(const HexCoord& center, int radius, F&& f) {
+  for (int q = -radius; q <= radius; ++q) {
+    const int r_lo = std::max(-radius, -q - radius);
+    const int r_hi = std::min(radius, -q + radius);
+    for (int r = r_lo; r <= r_hi; ++r) f(HexCoord{center.q + q, center.r + r});
+  }
+}
 
 /// Converts between axial coordinates and world positions for pointy-top
 /// hexagons with a given circumradius (centre-to-vertex, metres).

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "cellular/network.h"
 #include "common/error.h"
+#include "common/math_util.h"
 
 namespace facsp::cac {
 namespace {
@@ -166,6 +171,241 @@ TEST_F(SccFixture, PhysicallyFullCellRejects) {
   const auto d = scc.decide(request(9, ServiceClass::kText), net.center());
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.verdict, Verdict::kReject);
+}
+
+// --- reach-circle filter ---------------------------------------------------
+//
+// cell_probability decides cells the reach circle clears or stays inside
+// without projecting a node.  The reference below is the plain seven-node
+// loop; the filtered result must equal it bit for bit.
+
+double reference_probability(const CellularNetwork& net, const SccConfig& cfg,
+                             const MobileState& state, const HexCoord& cell,
+                             double tau) {
+  constexpr std::array<std::array<double, 2>, 7> kNodes = {{
+      {-2.651961356835233, 0.0009717812450995192 / 1.7724538509055160},
+      {-1.673551628767471, 0.05451558281912703 / 1.7724538509055160},
+      {-0.8162878828589647, 0.4256072526101278 / 1.7724538509055160},
+      {0.0, 0.8102646175568073 / 1.7724538509055160},
+      {0.8162878828589647, 0.4256072526101278 / 1.7724538509055160},
+      {1.673551628767471, 0.05451558281912703 / 1.7724538509055160},
+      {2.651961356835233, 0.0009717812450995192 / 1.7724538509055160},
+  }};
+  const double v_ms = state.speed_kmh / 3.6;
+  const double sigma = cfg.heading_sigma_base_deg * cfg.heading_reference_kmh /
+                       (std::max(0.0, state.speed_kmh) +
+                        cfg.heading_reference_kmh);
+  const double spread = sigma * std::sqrt(std::max(tau, 1.0) / 60.0);
+  double p = 0.0;
+  for (const auto& [t, w] : kNodes) {
+    const double h =
+        deg_to_rad(state.heading_deg + std::sqrt(2.0) * spread * t);
+    const cellular::Point proj{state.position.x + v_ms * tau * std::cos(h),
+                               state.position.y + v_ms * tau * std::sin(h)};
+    if (net.layout().cell_at(proj) == cell) p += w;
+  }
+  return std::min(p, 1.0);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_matches_reference(const SccPolicy& scc, const CellularNetwork& net,
+                              const SccConfig& cfg, const MobileState& st,
+                              const HexCoord& cell, double tau) {
+  EXPECT_EQ(bits(scc.cell_probability(st, cell, tau)),
+            bits(reference_probability(net, cfg, st, cell, tau)))
+      << "pos " << st.position << " v " << st.speed_kmh << " hdg "
+      << st.heading_deg << " cell " << cell << " tau " << tau;
+}
+
+// Speed (km/h) whose reach over tau seconds is `reach` metres.
+double speed_for_reach(double reach, double tau) { return reach / tau * 3.6; }
+
+TEST(SccReachFilter, MatchesNodeLoopOnRandomTriples) {
+  for (const double radius : {500.0, 2000.0}) {
+    CellularNetwork net{2, radius, 40.0};
+    const SccConfig cfg;
+    const SccPolicy scc(net, cfg);
+    std::mt19937_64 rng(20261020);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const auto around = cellular::hex_disc({0, 0}, 3);
+    const auto nearby = cellular::hex_disc({0, 0}, 2);
+    std::uint64_t decided_zero = 0, decided_one = 0;
+    for (int i = 0; i < 60000; ++i) {
+      // Mobiles anywhere within three rings (cells outside the modelled
+      // disc included), slow and fast, over the policy's windows and
+      // arbitrary horizons.
+      const HexCoord home = around[rng() % around.size()];
+      const cellular::Point c = net.layout().center(home);
+      const cellular::Point pos{c.x + (2 * unit(rng) - 1) * radius,
+                                c.y + (2 * unit(rng) - 1) * radius};
+      const double speed =
+          rng() % 8 == 0 ? 0.0 : (rng() % 2 ? 10.0 : 130.0) * unit(rng);
+      const MobileState st{pos, speed, 360.0 * unit(rng) - 180.0};
+      const double tau =
+          rng() % 2 ? 60.0 * static_cast<double>(1 + rng() % 3)
+                    : 300.0 * unit(rng);
+      const HexCoord near = nearby[rng() % nearby.size()];
+      const HexCoord at = net.layout().cell_at(pos);
+      const HexCoord cell{at.q + near.q, at.r + near.r};
+      const double p = scc.cell_probability(st, cell, tau);
+      decided_zero += p == 0.0;
+      decided_one += p == 1.0;
+      expect_matches_reference(scc, net, cfg, st, cell, tau);
+    }
+    // Both shortcuts are exercised, not just the fall-through loop.
+    EXPECT_GT(decided_zero, 1000u);
+    EXPECT_GT(decided_one, 1000u);
+  }
+}
+
+TEST(SccReachFilter, MatchesNodeLoopAtTheBoundsOfBothShortcuts) {
+  const double radius = 2000.0;
+  const double inradius = radius * std::sqrt(3.0) / 2.0;
+  CellularNetwork net{1, radius, 40.0};
+  const SccConfig cfg;
+  const SccPolicy scc(net, cfg);
+  const HexCoord cell{0, 0};
+  const cellular::Point centre = net.layout().center(cell);
+  const double tau = 120.0;
+  for (const double d : {0.0, 1.0, 300.0, 900.0, 1500.0, 1700.0}) {
+    for (const double hdg : {-150.0, -30.0, 0.0, 45.0, 90.0, 180.0}) {
+      const double a = deg_to_rad(hdg + 17.0);
+      const cellular::Point pos{centre.x + d * std::cos(a),
+                                centre.y + d * std::sin(a)};
+      for (const double delta :
+           {-2e-6, -1e-6, -5e-7, -1e-9, 0.0, 1e-9, 5e-7, 1e-6, 2e-6}) {
+        // Circle just clearing / just touching the circumcircle, from
+        // outside (reach ~ d + R) and, for far mobiles, from the side
+        // (reach ~ d - R); and just inside / on the incircle.
+        for (const double reach :
+             {d + radius + delta, d - radius + delta, inradius - d + delta}) {
+          if (reach < 0.0) continue;
+          const MobileState st{pos, speed_for_reach(reach, tau), hdg};
+          expect_matches_reference(scc, net, cfg, st, cell, tau);
+          expect_matches_reference(scc, net, cfg, st, {1, 0}, tau);
+        }
+      }
+    }
+  }
+}
+
+TEST(SccReachFilter, MatchesNodeLoopOnEdgesAndVertices) {
+  for (const double radius : {500.0, 2000.0}) {
+    CellularNetwork net{1, radius, 40.0};
+    const SccConfig cfg;
+    const SccPolicy scc(net, cfg);
+    const auto cells = cellular::hex_disc({0, 0}, 2);
+    for (const HexCoord& home : cellular::hex_disc({0, 0}, 1)) {
+      const cellular::Point c = net.layout().center(home);
+      for (int k = 0; k < 6; ++k) {
+        // Pointy-top hexagon: vertices at 30 + 60k degrees, edge midpoints
+        // at 60k degrees on the incircle.
+        const double va = deg_to_rad(30.0 + 60.0 * k);
+        const double ea = deg_to_rad(60.0 * k);
+        const double in = radius * std::sqrt(3.0) / 2.0;
+        for (const cellular::Point pos :
+             {cellular::Point{c.x + radius * std::cos(va),
+                              c.y + radius * std::sin(va)},
+              cellular::Point{c.x + in * std::cos(ea), c.y + in * std::sin(ea)}}) {
+          for (const double speed : {0.0, 4.0, 60.0, 120.0}) {
+            for (const double tau : {0.0, 60.0, 180.0}) {
+              const MobileState st{pos, speed, 60.0 * k - 90.0};
+              for (const HexCoord& cell : cells)
+                expect_matches_reference(scc, net, cfg, st, cell, tau);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SccReachFilter, StationaryMobileIsDecidedByItsCellAlone) {
+  CellularNetwork net{1, 1000.0, 40.0};
+  const SccConfig cfg;
+  const SccPolicy scc(net, cfg);
+  for (const double x : {0.0, 200.0, 700.0, 866.0, 866.0254037844386, 900.0,
+                         1500.0, 1732.0, 2600.0}) {
+    const MobileState st{{x, 0.25 * x}, 0.0, 10.0};
+    for (const HexCoord& cell : cellular::hex_disc({0, 0}, 2))
+      for (const double tau : {0.0, 60.0, 180.0})
+        expect_matches_reference(scc, net, cfg, st, cell, tau);
+  }
+}
+
+TEST(SccReachFilter, CellsOutsideTheModelledDiscMatchTheNodeLoop) {
+  // rings = 0: every neighbour of the only station lies outside the disc.
+  CellularNetwork net{0, 500.0, 40.0};
+  const SccConfig cfg;
+  const SccPolicy scc(net, cfg);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 5000; ++i) {
+    const MobileState st{{(2 * unit(rng) - 1) * 600.0,
+                          (2 * unit(rng) - 1) * 600.0},
+                         120.0 * unit(rng), 360.0 * unit(rng) - 180.0};
+    for (const HexCoord& cell : cellular::hex_disc({0, 0}, 2))
+      expect_matches_reference(scc, net, cfg, st, cell, 60.0 + 60.0 * (i % 3));
+  }
+}
+
+// decide() projects each (mobile, window) pair once for the whole cluster;
+// its margin must equal the per-cell formula over cell_probability and
+// projected_demand, including a registered handoff requester's own shadow.
+double reference_score(const SccPolicy& scc, const CellularNetwork& net,
+                       const SccConfig& cfg, const AdmissionRequest& req,
+                       const MobileState* registered, double registered_bw,
+                       const cellular::BaseStation& bs) {
+  double worst = 1.0;
+  for (int k = 1; k <= cfg.windows; ++k) {
+    const double tau = k * cfg.window_s;
+    const double surv = std::exp(-tau / cfg.mean_holding_s);
+    for (const HexCoord& cell : cellular::hex_disc(bs.coord(), 1)) {
+      const cellular::BaseStation* target = net.station_at(cell);
+      if (target == nullptr) continue;
+      const double p = scc.cell_probability(req.mobile, cell, tau);
+      const double share =
+          p > cfg.reach_probability_min ? req.bandwidth : p * req.bandwidth;
+      double demand = scc.projected_demand(cell, tau) + share;
+      if (registered != nullptr)
+        demand -= scc.cell_probability(*registered, cell, tau) *
+                  registered_bw * surv;
+      const double cap = cfg.admit_threshold * target->capacity();
+      worst = std::min(worst, (cap - demand) / target->capacity());
+    }
+  }
+  worst = std::min(worst, (bs.capacity() - (bs.load().used + req.bandwidth)) /
+                              bs.capacity());
+  return clamp(worst * 2.0, -1.0, 1.0);
+}
+
+TEST_F(SccFixture, DecideMatchesPerCellReferenceOnEveryStation) {
+  SccPolicy scc(net, cfg);
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<MobileState> states;
+  for (cellular::ConnectionId id = 1; id <= 40; ++id) {
+    const MobileState st{{(2 * unit(rng) - 1) * 7000.0,
+                          (2 * unit(rng) - 1) * 7000.0},
+                         100.0 * unit(rng), 360.0 * unit(rng) - 180.0};
+    auto req = request(id, id % 3 ? ServiceClass::kText : ServiceClass::kVoice);
+    req.mobile = st;
+    scc.on_admitted(req, net.center());
+    states.push_back(st);
+  }
+  for (const cellular::BaseStation* bs : net.stations()) {
+    for (cellular::ConnectionId id : {5ull, 1000ull}) {
+      auto req = request(id, ServiceClass::kVoice, 0.0, 0.0,
+                         id == 5 ? RequestKind::kHandoff : RequestKind::kNew);
+      req.mobile = MobileState{net.layout().center(bs->coord()), 30.0, 75.0};
+      const MobileState* registered = id == 5 ? &states[4] : nullptr;
+      const double bw = cellular::service_bandwidth(ServiceClass::kText);
+      EXPECT_EQ(bits(scc.decide(req, *bs).score),
+                bits(reference_score(scc, net, cfg, req, registered, bw, *bs)))
+          << "station " << bs->coord() << " id " << id;
+    }
+  }
 }
 
 TEST(SccConfig, Validation) {
