@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <string_view>
 #include <vector>
@@ -10,6 +11,68 @@
 
 namespace facsp::sim {
 namespace {
+
+// Mt19937_64 must return std::mt19937_64's outputs exactly: over several
+// generations (crossing the m = 156 and n = 312 word boundaries of the
+// first twist and the 624-draw boundary of the second), for many seeds,
+// and from a copy taken anywhere mid-stream.
+TEST(Mt19937_64, MatchesStdEngineOverManySeedsAndGenerations) {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, 0x9e3779b97f4a7c15ull,
+                                      ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; seeds.size() < 250; ++i)
+    seeds.push_back(hash_seed(i, "rng-test", i));
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 want(seed);
+    Mt19937_64 got(seed);
+    for (int d = 0; d < 3000; ++d) {
+      const std::uint64_t w = want();
+      const std::uint64_t g = got();
+      if (w != g) {
+        ADD_FAILURE() << "seed " << seed << " draw " << d << ": " << g
+                      << " != " << w;
+        break;
+      }
+    }
+  }
+}
+
+TEST(Mt19937_64, MidStreamCopyContinuesIdentically) {
+  for (const int at : {0, 1, 155, 156, 157, 311, 312, 313, 623, 624, 625,
+                       1000}) {
+    Mt19937_64 a(42);
+    std::mt19937_64 want(42);
+    for (int d = 0; d < at; ++d) {
+      a();
+      want();
+    }
+    Mt19937_64 b = a;  // copy-construct mid-stream
+    Mt19937_64 c(7);
+    c = a;  // copy-assign over a stream that has never been drawn
+    for (int d = 0; d < 700; ++d) {
+      const std::uint64_t w = want();
+      ASSERT_EQ(a(), w) << "at " << at << " draw " << d;
+      ASSERT_EQ(b(), w) << "copy at " << at << " draw " << d;
+      ASSERT_EQ(c(), w) << "assigned at " << at << " draw " << d;
+    }
+  }
+}
+
+TEST(RandomStream, DistributionsMatchTheStdEngine) {
+  // The helpers draw through std distributions, so equal engine outputs
+  // mean equal samples.
+  RandomStream rng(2026);
+  std::mt19937_64 eng(2026);
+  for (int i = 0; i < 500; ++i) {
+    EXPECT_EQ(rng.uniform(-1.0, 3.0),
+              std::uniform_real_distribution<double>(-1.0, 3.0)(eng));
+    EXPECT_EQ(rng.normal(0.0, 2.0),
+              std::normal_distribution<double>(0.0, 2.0)(eng));
+    EXPECT_EQ(rng.exponential(5.0),
+              std::exponential_distribution<double>(0.2)(eng));
+    EXPECT_EQ(rng.uniform_int(0, 9),
+              std::uniform_int_distribution<std::int64_t>(0, 9)(eng));
+  }
+}
 
 TEST(RandomStream, DeterministicForSameSeed) {
   RandomStream a(42), b(42);
