@@ -180,12 +180,11 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
     for (ClusterCell& c : cluster_) c.demand = c.own = 0.0;
     // A handoff requester is still registered as an active mobile (its
     // source-cell release happens only after admission); its existing
-    // shadow is subtracted below so it is not counted twice.
-    bool registered = false;
+    // shadow is subtracted below so it is not counted twice.  Subtracting
+    // the +0.0 of an unregistered requester changes no bit.
     for (const auto& [id, a] : actives_) {
       Projection pr(a.state, tau);
       const bool self = id == req.id;
-      registered = registered || self;
       for (ClusterCell& c : cluster_) {
         const double share = probability(pr, c.coord, c.centre) * a.bw * surv;
         c.demand += share;
@@ -201,8 +200,7 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
                                                          : p_reach *
                                                                req.bandwidth)
               : p_reach * req.bandwidth * surv;
-      double demand = c.demand + req_share;
-      if (registered) demand -= c.own;
+      const double demand = c.demand + req_share - c.own;
       const double cap = config_.admit_threshold * c.station->capacity();
       const double margin = (cap - demand) / c.station->capacity();
       worst_margin = std::min(worst_margin, margin);
