@@ -48,7 +48,7 @@ AdmissionDecision GuardChannelPolicy::decide(const AdmissionRequest& req,
 
 FractionalGuardChannelPolicy::FractionalGuardChannelPolicy(
     cellular::Bandwidth guard_bu, sim::RandomStream rng)
-    : guard_(guard_bu), rng_(std::move(rng)) {
+    : guard_(guard_bu), rng_(rng) {
   if (guard_bu < 0.0)
     throw ConfigError("fractional guard channel: guard bandwidth must be >= 0");
 }

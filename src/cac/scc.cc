@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 
 #include "common/error.h"
 #include "common/expects.h"
@@ -140,13 +141,26 @@ double SccPolicy::cell_probability(const cellular::MobileState& state,
   return probability(pr, cell, network_.layout().center(cell));
 }
 
+void SccPolicy::cast_shadows(double tau, cellular::ConnectionId self,
+                             std::span<ClusterCell> cells) const {
+  const double surv = survival(tau);
+  for (ClusterCell& c : cells) c.demand = c.own = 0.0;
+  for (const auto& [id, a] : actives_) {
+    Projection pr(a.state, tau);
+    for (ClusterCell& c : cells) {
+      const double share = probability(pr, c.coord, c.centre) * a.bw * surv;
+      c.demand += share;
+      if (id == self) c.own = share;
+    }
+  }
+}
+
 double SccPolicy::projected_demand(const cellular::HexCoord& cell,
                                    double tau) const {
-  double demand = 0.0;
-  const double surv = survival(tau);
-  for (const auto& [id, a] : actives_)
-    demand += cell_probability(a.state, cell, tau) * a.bw * surv;
-  return demand;
+  // No mobile is singled out here; `own` is left unread.
+  ClusterCell c{cell, network_.layout().center(cell), nullptr, 0.0, 0.0};
+  cast_shadows(tau, cellular::ConnectionId{}, std::span(&c, 1));
+  return c.demand;
 }
 
 AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
@@ -177,20 +191,11 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
   for (int k = 1; k <= config_.windows; ++k) {
     const double tau = k * config_.window_s;
     const double surv = survival(tau);
-    for (ClusterCell& c : cluster_) c.demand = c.own = 0.0;
     // A handoff requester is still registered as an active mobile (its
     // source-cell release happens only after admission); its existing
     // shadow is subtracted below so it is not counted twice.  Subtracting
     // the +0.0 of an unregistered requester changes no bit.
-    for (const auto& [id, a] : actives_) {
-      Projection pr(a.state, tau);
-      const bool self = id == req.id;
-      for (ClusterCell& c : cluster_) {
-        const double share = probability(pr, c.coord, c.centre) * a.bw * surv;
-        c.demand += share;
-        if (self) c.own = share;
-      }
-    }
+    cast_shadows(tau, req.id, cluster_);
     Projection requester(req.mobile, tau);
     for (const ClusterCell& c : cluster_) {
       const double p_reach = probability(requester, c.coord, c.centre);

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -134,6 +135,11 @@ class SccPolicy final : public AdmissionPolicy {
 
   double heading_sigma_deg(double speed_kmh) const noexcept;
   double survival(double tau) const noexcept;
+  // Fills every cell's demand (all actives' shares, in map order) and own
+  // (the share of active `self`, else 0) at now+tau, projecting each active
+  // at most once.
+  void cast_shadows(double tau, cellular::ConnectionId self,
+                    std::span<ClusterCell> cells) const;
   void project(Projection& pr) const;
   double probability(Projection& pr, const cellular::HexCoord& cell,
                      const cellular::Point& centre) const;

@@ -13,7 +13,7 @@ double MobilityConfig::heading_sigma(double speed_kmh) const noexcept {
 }
 
 MobilityModel::MobilityModel(MobilityConfig config, sim::RandomStream rng)
-    : config_(config), rng_(std::move(rng)) {}
+    : config_(config), rng_(rng) {}
 
 void MobilityModel::advance(MobileState& state, sim::SimTime dt) {
   FACSP_EXPECTS(dt >= 0.0);
@@ -46,7 +46,7 @@ double angle_to_bs_deg(const MobileState& state, const Point& bs) noexcept {
 }
 
 DirectionPredictor::DirectionPredictor(Config config, sim::RandomStream rng)
-    : config_(config), rng_(std::move(rng)) {}
+    : config_(config), rng_(rng) {}
 
 double DirectionPredictor::sigma_deg(double speed_kmh) const noexcept {
   const double s = std::max(0.0, speed_kmh);

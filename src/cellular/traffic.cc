@@ -39,7 +39,7 @@ TrafficGenerator::TrafficGenerator(TrafficConfig config,
       layout_(layout),
       spawn_cell_(spawn_cell),
       bs_position_(bs_position),
-      rng_(std::move(rng)),
+      rng_(rng),
       next_id_(first_id) {
   // Validate before constructing the distributions: discrete_distribution
   // requires non-negative weights, which only validate() guarantees.
