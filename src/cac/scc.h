@@ -21,11 +21,16 @@
 // the mobile.  When that circle clears a cell's circumcircle or stays inside
 // its incircle by a safety margin, the cell's probability is known without
 // projecting a node, and decide() projects each (mobile, window) pair at most
-// once for its whole cluster; both leave every result bit-identical to the
-// plain seven-node loop (docs/performance.md, "SCC shadow projection").
+// once for its whole cluster.  A projected node is placed with a polynomial
+// sine and cosine (no libm call) and tested against the cell's hexagon; only
+// a node within the same safety margin of a hexagon edge is placed again
+// with std::cos/std::sin and HexLayout::cell_at.  All of this leaves every
+// result bit-identical to the plain seven-node loop (docs/performance.md,
+// "SCC shadow projection" and "SCC node classifier").
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -112,15 +117,23 @@ class SccPolicy final : public AdmissionPolicy {
   };
 
   // One mobile's shadow at one window: the reach circle every heading node
-  // lies on and, once some cell needs them, the cells the nodes land in.
+  // lies on and, once some cell needs them, the nodes' headings and
+  // approximate positions.  A node's exact cell is placed only when a cell
+  // test cannot decide it from the approximation.  One Projection is aimed
+  // at mobile after mobile; its arrays are scratch that project() and
+  // exact_cell() write before they are read.
   struct Projection {
-    const cellular::MobileState& state;
-    double tau;
-    double reach;  // signed v*tau; the circle's radius is |reach|
+    const cellular::MobileState* state = nullptr;
+    double tau = 0.0;
+    double reach = 0.0;  // signed v*tau; the circle's radius is |reach|
     bool projected = false;
+    std::uint8_t placed = 0;  // bit i set: cells[i] holds node i's cell
+    std::array<double, 7> heading{};  // radians
+    std::array<cellular::Point, 7> node{};  // NaN where not approximated
     std::array<cellular::HexCoord, 7> cells{};
 
-    Projection(const cellular::MobileState& s, double t);
+    // Starts the shadow of `s` at now + `t`.
+    void aim(const cellular::MobileState& s, double t);
   };
 
   // A cell of the current decide()'s shadow cluster and its sums for the
@@ -141,6 +154,9 @@ class SccPolicy final : public AdmissionPolicy {
   void cast_shadows(double tau, cellular::ConnectionId self,
                     std::span<ClusterCell> cells) const;
   void project(Projection& pr) const;
+  // The cell node i of `pr` lands in, placed with std::cos/std::sin and
+  // HexLayout::cell_at on first use.
+  const cellular::HexCoord& exact_cell(Projection& pr, std::size_t i) const;
   double probability(Projection& pr, const cellular::HexCoord& cell,
                      const cellular::Point& centre) const;
 
@@ -149,5 +165,24 @@ class SccPolicy final : public AdmissionPolicy {
   std::unordered_map<cellular::ConnectionId, Active> actives_;
   std::vector<ClusterCell> cluster_;  // decide() scratch, reserved up front
 };
+
+namespace scc_detail {
+
+/// Largest |x| that approx_sincos() accepts, in radians.
+inline constexpr double kSinCosMaxArg = 1024.0;
+/// Bound on |approx_sincos(x).sin - sin(x)| and on the cosine's error, over
+/// |x| <= kSinCosMaxArg.
+inline constexpr double kSinCosBound = 1e-15;
+
+struct SinCos {
+  double sin;
+  double cos;
+};
+
+/// sin(x) and cos(x) without a libm call, within kSinCosBound; both NaN
+/// when x is NaN, infinite or beyond kSinCosMaxArg.  Exposed for tests.
+SinCos approx_sincos(double x) noexcept;
+
+}  // namespace scc_detail
 
 }  // namespace facsp::cac

@@ -6,7 +6,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
+#include <limits>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "cellular/network.h"
 #include "common/error.h"
@@ -350,6 +354,209 @@ TEST(SccReachFilter, CellsOutsideTheModelledDiscMatchTheNodeLoop) {
   }
 }
 
+// --- node classifier -------------------------------------------------------
+//
+// A projected node is placed with scc_detail::approx_sincos and tested
+// against the cell's hexagon; only nodes within the slack of an edge take
+// std::cos/std::sin and cell_at.  The nodes below sit on edges and vertices,
+// where that fallback must decide, and the result must still equal the
+// plain seven-node loop bit for bit.
+
+TEST(SccNodeClassifier, ApproxSinCosStaysWithinItsBoundOverTheDomain) {
+  using scc_detail::approx_sincos;
+  using scc_detail::kSinCosBound;
+  using scc_detail::kSinCosMaxArg;
+  double worst = 0.0;
+  const auto check = [&worst](double x) {
+    const scc_detail::SinCos sc = approx_sincos(x);
+    const double err = std::max(std::fabs(sc.sin - std::sin(x)),
+                                std::fabs(sc.cos - std::cos(x)));
+    worst = std::max(worst, err);
+    EXPECT_LE(err, kSinCosBound) << "x " << x;
+  };
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> whole(-kSinCosMaxArg, kSinCosMaxArg);
+  std::uniform_real_distribution<double> small(-8.0, 8.0);
+  for (int i = 0; i < 1000000; ++i) {
+    check(whole(rng));
+    check(small(rng));
+  }
+  // Around every quadrant and octant boundary, where the reduction switches
+  // quadrant or the reduced argument reaches pi/4.
+  for (double k = -1304.0; k <= 1304.0; k += 1.0) {
+    const double x = k * (kPi / 4.0);
+    if (std::fabs(x) > kSinCosMaxArg) continue;
+    check(x);
+    check(std::nextafter(x, -2e3));
+    check(std::nextafter(x, 2e3));
+    for (const double d : {-1e-9, 1e-9, -1e-6, 1e-6}) check(x + d);
+  }
+  for (const double x : {0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e-8,
+                         kSinCosMaxArg, -kSinCosMaxArg})
+    check(x);
+  EXPECT_GT(worst, 0.0);
+  std::cout << "approx_sincos: worst |error| " << worst << " (bound "
+            << kSinCosBound << ")\n";
+}
+
+TEST(SccNodeClassifier, NonFiniteAndOutOfRangeArgumentsAreNotApproximated) {
+  using scc_detail::approx_sincos;
+  using scc_detail::kSinCosMaxArg;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {std::numeric_limits<double>::quiet_NaN(), inf, -inf,
+                         std::nextafter(kSinCosMaxArg, inf),
+                         -std::nextafter(kSinCosMaxArg, inf), 1e6, -1e300}) {
+    const scc_detail::SinCos sc = approx_sincos(x);
+    EXPECT_TRUE(std::isnan(sc.sin)) << "x " << x;
+    EXPECT_TRUE(std::isnan(sc.cos)) << "x " << x;
+  }
+}
+
+TEST(SccNodeClassifier, OutOfRangeHeadingsMatchTheNodeLoop) {
+  // Headings beyond approx_sincos's domain give NaN nodes, which every cell
+  // test sends to the exact placement.  (A NaN or infinite heading has no
+  // finite node to compare: cell_at would convert NaN to int.)
+  CellularNetwork net{1, 500.0, 40.0};
+  const SccConfig cfg;
+  const SccPolicy scc(net, cfg);
+  for (const double hdg : {58000.0, 58700.0, -58700.0, 1e7, -3.3e9, 1e15}) {
+    // Vertex of the home cell and an eastern mobile, so the reach circle
+    // crosses several hexagons and no shortcut decides them.
+    for (const cellular::Point pos :
+         {cellular::Point{0.0, 500.0}, cellular::Point{300.0, -120.0}}) {
+      const MobileState st{pos, 30.0, hdg};
+      for (const HexCoord& cell : cellular::hex_disc({0, 0}, 2))
+        for (const double tau : {60.0, 180.0})
+          expect_matches_reference(scc, net, cfg, st, cell, tau);
+    }
+  }
+}
+
+// A mobile at `from` whose centre (t = 0) node lands on `target` after tau.
+MobileState aimed_at(const cellular::Point& from, const cellular::Point& target,
+                     double tau) {
+  const double dx = target.x - from.x;
+  const double dy = target.y - from.y;
+  return MobileState{from, speed_for_reach(std::hypot(dx, dy), tau),
+                     rad_to_deg(std::atan2(dy, dx))};
+}
+
+// Hexagon vertices and edge midpoints of every cell within one ring of the
+// centre cell, each moved radially by -2e-6 .. 2e-6 m.
+std::vector<cellular::Point> edge_targets(const CellularNetwork& net) {
+  const double radius = net.layout().cell_radius();
+  std::vector<cellular::Point> out;
+  for (const HexCoord& home : cellular::hex_disc({0, 0}, 1)) {
+    const cellular::Point c = net.layout().center(home);
+    for (int k = 0; k < 6; ++k) {
+      for (const auto& [deg, dist] :
+           {std::pair{30.0 + 60.0 * k, radius},
+            std::pair{60.0 * k, radius * std::sqrt(3.0) / 2.0}}) {
+        const double a = deg_to_rad(deg);
+        for (const double delta :
+             {-2e-6, -1e-6, -5e-7, -1e-9, 0.0, 1e-9, 5e-7, 1e-6, 2e-6})
+          out.push_back({c.x + (dist + delta) * std::cos(a),
+                         c.y + (dist + delta) * std::sin(a)});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SccNodeClassifier, NodesOnEdgesAndVerticesMatchTheNodeLoop) {
+  for (const double radius : {500.0, 2000.0}) {
+    for (const int rings : {0, 1}) {
+      CellularNetwork net{rings, radius, 40.0};
+      const SccConfig cfg;
+      const SccPolicy scc(net, cfg);
+      // Mobiles inside the centre cell, in a neighbour and beyond the
+      // modelled disc; every cell within two rings, so cells outside the
+      // disc are tested too.
+      const std::array<cellular::Point, 3> froms = {
+          cellular::Point{0.31 * radius, -0.17 * radius},
+          cellular::Point{1.9 * radius, 0.4 * radius},
+          cellular::Point{-2.2 * radius, -2.6 * radius}};
+      const auto cells = cellular::hex_disc({0, 0}, 2);
+      for (const cellular::Point& target : edge_targets(net)) {
+        for (const cellular::Point& from : froms) {
+          for (const double tau : {60.0, 180.0}) {
+            const MobileState st = aimed_at(from, target, tau);
+            for (const HexCoord& cell : cells)
+              expect_matches_reference(scc, net, cfg, st, cell, tau);
+          }
+        }
+      }
+    }
+  }
+}
+
+// decide() over a 1-cell (rings = 0) and a 7-cell (rings = 1) cluster, with
+// the active's and the requester's centre nodes on edges and vertices.  The
+// reference repeats decide()'s arithmetic over the plain seven-node loop.
+double reference_decide_score(const CellularNetwork& net, const SccConfig& cfg,
+                              const AdmissionRequest& req,
+                              const MobileState& active, double active_bw,
+                              const cellular::BaseStation& bs) {
+  double worst = 1.0;
+  for (int k = 1; k <= cfg.windows; ++k) {
+    const double tau = k * cfg.window_s;
+    const double surv = std::exp(-tau / cfg.mean_holding_s);
+    for (const HexCoord& cell :
+         cellular::hex_disc(bs.coord(), cfg.cluster_radius)) {
+      const cellular::BaseStation* target = net.station_at(cell);
+      if (target == nullptr) continue;
+      const double demand =
+          0.0 + reference_probability(net, cfg, active, cell, tau) *
+                    active_bw * surv;
+      const double p = reference_probability(net, cfg, req.mobile, cell, tau);
+      const double share =
+          p > cfg.reach_probability_min ? req.bandwidth : p * req.bandwidth;
+      const double cap = cfg.admit_threshold * target->capacity();
+      worst = std::min(
+          worst, (cap - (demand + share - 0.0)) / target->capacity());
+    }
+  }
+  worst = std::min(worst, (bs.capacity() - (bs.load().used + req.bandwidth)) /
+                              bs.capacity());
+  return clamp(worst * 2.0, -1.0, 1.0);
+}
+
+TEST(SccNodeClassifier, DecideOnEdgeNodesMatchesTheNodeLoop) {
+  for (const int rings : {0, 1}) {
+    CellularNetwork net{rings, 500.0, 40.0};
+    const SccConfig cfg;
+    const auto targets = edge_targets(net);
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < targets.size(); i += 5) {
+      SccPolicy scc(net, cfg);
+      // The active reaches its target in the first window, the requester
+      // in the third.
+      const MobileState active =
+          aimed_at({120.0, 80.0}, targets[i], cfg.window_s);
+      AdmissionRequest owner;
+      owner.id = 1;
+      owner.bandwidth = cellular::service_bandwidth(ServiceClass::kVoice);
+      owner.mobile = active;
+      scc.on_admitted(owner, net.center());
+      AdmissionRequest req;
+      req.id = 2;
+      req.service = ServiceClass::kText;
+      req.bandwidth = cellular::service_bandwidth(ServiceClass::kText);
+      req.mobile = aimed_at({-90.0, 40.0}, targets[(i * 7 + 3) % targets.size()],
+                            3 * cfg.window_s);
+      for (const cellular::BaseStation* bs : net.stations()) {
+        EXPECT_EQ(bits(scc.decide(req, *bs).score),
+                  bits(reference_decide_score(net, cfg, req, active,
+                                              owner.bandwidth, *bs)))
+            << "rings " << rings << " target " << i << " station "
+            << bs->coord();
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0u);
+  }
+}
+
 // decide() projects each (mobile, window) pair once for the whole cluster;
 // its margin must equal the per-cell formula over cell_probability and
 // projected_demand, including a registered handoff requester's own shadow.
@@ -425,6 +632,32 @@ TEST(SccConfig, Validation) {
   bad = {};
   bad.cluster_radius = -1;
   EXPECT_THROW(SccPolicy(net, bad), facsp::ConfigError);
+
+  // NaN fails every comparison, so each field is checked for it, and the
+  // unbounded ones for infinity.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double SccConfig::*field :
+       {&SccConfig::window_s, &SccConfig::admit_threshold,
+        &SccConfig::mean_holding_s, &SccConfig::heading_sigma_base_deg,
+        &SccConfig::heading_reference_kmh,
+        &SccConfig::reach_probability_min}) {
+    for (const double v : {nan, inf, -inf}) {
+      bad = {};
+      bad.*field = v;
+      EXPECT_THROW(SccPolicy(net, bad), facsp::ConfigError) << v;
+    }
+  }
+  for (const double v : {-0.01, 1.01}) {
+    bad = {};
+    bad.reach_probability_min = v;
+    EXPECT_THROW(SccPolicy(net, bad), facsp::ConfigError) << v;
+  }
+  for (const double v : {0.0, 1.0}) {
+    SccConfig ok;
+    ok.reach_probability_min = v;
+    EXPECT_NO_THROW(SccPolicy(net, ok)) << v;
+  }
 }
 
 }  // namespace
