@@ -184,8 +184,8 @@ void SccPolicy::project(Projection& pr) const {
   pr.projected = true;
 }
 
-const cellular::HexCoord& SccPolicy::exact_cell(Projection& pr,
-                                                std::size_t i) const {
+const std::optional<cellular::HexCoord>& SccPolicy::exact_cell(
+    Projection& pr, std::size_t i) const {
   if (!(pr.placed >> i & 1u)) {
     const cellular::MobileState& state = *pr.state;
     const double h = pr.heading[i];

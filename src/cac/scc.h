@@ -31,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -130,7 +131,7 @@ class SccPolicy final : public AdmissionPolicy {
     std::uint8_t placed = 0;  // bit i set: cells[i] holds node i's cell
     std::array<double, 7> heading{};  // radians
     std::array<cellular::Point, 7> node{};  // NaN where not approximated
-    std::array<cellular::HexCoord, 7> cells{};
+    std::array<std::optional<cellular::HexCoord>, 7> cells{};
 
     // Starts the shadow of `s` at now + `t`.
     void aim(const cellular::MobileState& s, double t);
@@ -154,9 +155,10 @@ class SccPolicy final : public AdmissionPolicy {
   void cast_shadows(double tau, cellular::ConnectionId self,
                     std::span<ClusterCell> cells) const;
   void project(Projection& pr) const;
-  // The cell node i of `pr` lands in, placed with std::cos/std::sin and
-  // HexLayout::cell_at on first use.
-  const cellular::HexCoord& exact_cell(Projection& pr, std::size_t i) const;
+  // The cell node i of `pr` lands in (none off any grid), placed with
+  // std::cos/std::sin and HexLayout::cell_at on first use.
+  const std::optional<cellular::HexCoord>& exact_cell(
+      Projection& pr, std::size_t i) const;
   double probability(Projection& pr, const cellular::HexCoord& cell,
                      const cellular::Point& centre) const;
 

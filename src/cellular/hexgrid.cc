@@ -75,7 +75,7 @@ Point HexLayout::center(const HexCoord& h) const noexcept {
   return Point{radius_ * sqrt3 * (h.q + h.r / 2.0), radius_ * 1.5 * h.r};
 }
 
-HexCoord HexLayout::cell_at(const Point& p) const noexcept {
+std::optional<HexCoord> HexLayout::cell_at(const Point& p) const noexcept {
   const double sqrt3 = std::sqrt(3.0);
   // Inverse of center(): fractional axial coordinates.
   const double qf = (sqrt3 / 3.0 * p.x - 1.0 / 3.0 * p.y) / radius_;
@@ -91,6 +91,11 @@ HexCoord HexLayout::cell_at(const Point& p) const noexcept {
   } else if (dr > ds) {
     r = -q - s;
   }
+  // Negated test so NaN fails it too.  The bound keeps s() and neighbour
+  // offsets in int range as well.
+  constexpr double kMaxAxial = 1 << 30;
+  if (!(std::fabs(q) <= kMaxAxial && std::fabs(r) <= kMaxAxial))
+    return std::nullopt;
   return HexCoord{static_cast<int>(q), static_cast<int>(r)};
 }
 

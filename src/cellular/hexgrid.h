@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 namespace facsp::cellular {
@@ -86,8 +87,9 @@ class HexLayout {
   Point center(const HexCoord& h) const noexcept;
 
   /// Cell containing a world point (cube rounding; boundary points resolve
-  /// deterministically).
-  HexCoord cell_at(const Point& p) const noexcept;
+  /// deterministically).  None for a NaN, infinite or so distant point that
+  /// its axial coordinates leave int range: no network reaches it.
+  std::optional<HexCoord> cell_at(const Point& p) const noexcept;
 
   /// Uniformly random point inside the given cell (rejection sampling over
   /// the bounding box using the supplied uniform(0,1) generator).

@@ -32,12 +32,14 @@ const BaseStation* CellularNetwork::station_at(
 }
 
 BaseStation* CellularNetwork::station_covering(const Point& p) noexcept {
-  return station_at(layout_.cell_at(p));
+  const auto cell = layout_.cell_at(p);
+  return cell ? station_at(*cell) : nullptr;
 }
 
 const BaseStation* CellularNetwork::station_covering(
     const Point& p) const noexcept {
-  return station_at(layout_.cell_at(p));
+  const auto cell = layout_.cell_at(p);
+  return cell ? station_at(*cell) : nullptr;
 }
 
 std::vector<BaseStation*> CellularNetwork::stations() {

@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/expects.h"
 #include "workload/spatial.h"
@@ -70,7 +71,7 @@ cac::AdmissionRequest SessionDriver::make_request(
   req.angle_deg = predictor_->predict_angle_deg(state, target.position());
   req.distance_m = cellular::distance(state.position, target.position());
   req.mobile = state;
-  req.now = sim_.now();
+  req.now = now_;
   return req;
 }
 
@@ -86,7 +87,7 @@ void SessionDriver::handle_arrival(const cellular::CallRequest& call,
   s.conn.priority = call.priority;
   s.conn.origin = RequestKind::kNew;
   s.conn.state = ConnectionState::kPending;
-  s.conn.request_time = sim_.now();
+  s.conn.request_time = now_;
   s.conn.holding_time = call.holding_time;
   s.state = call.mobile;
   s.serving = bs;
@@ -101,30 +102,23 @@ void SessionDriver::handle_arrival(const cellular::CallRequest& call,
     return;  // blocked; nothing was allocated
   }
 
-  const bool ok = bs->allocate(s.conn, sim_.now(), /*via_handoff=*/false);
+  const bool ok = bs->allocate(s.conn, now_, /*via_handoff=*/false);
   FACSP_ENSURES(ok);  // decide() verified can_fit under the same event
   policy_.on_admitted(req, *bs);
   s.conn.state = ConnectionState::kActive;
-  s.conn.start_time = sim_.now();
+  s.conn.start_time = now_;
 
-  const ConnectionId id = call.id;
-  s.completion = sim_.schedule_in(call.holding_time,
-                                  [this, id] { handle_completion(id); });
-  if (scenario_.enable_mobility)
-    s.next_move = sim_.schedule_in(scenario_.mobility_update_s,
-                                   [this, id] { handle_mobility(id); });
-  sessions_.emplace(id, std::move(s));
+  start(std::move(s), now_ + call.holding_time,
+        now_ + scenario_.mobility_update_s);
 }
 
 void SessionDriver::finish(Session& s, ConnectionState final_state) {
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
-    s.serving->release(s.conn.id, sim_.now());
+    s.serving->release(s.conn.id, now_);
     policy_.on_released(s.conn.id, s.conn.service, *s.serving);
   }
-  sim_.cancel(s.completion);
-  sim_.cancel(s.next_move);
   s.conn.state = final_state;
-  s.conn.end_time = sim_.now();
+  s.conn.end_time = now_;
   if (s.measured) {
     if (final_state == ConnectionState::kCompleted)
       metrics_.record_completion(s.conn.service);
@@ -138,26 +132,18 @@ SessionDriver::CellDeparture SessionDriver::depart(Session& s) {
   CellDeparture d;
   d.conn = s.conn;
   d.state = s.state;
-  d.when = sim_.now();
+  d.when = now_;
   // The completion event would fire at start + holding; what is left of the
   // call continues in whichever cell admits it.
   d.remaining_holding_s = std::max(
-      0.0, s.conn.start_time + s.conn.holding_time - sim_.now());
+      0.0, s.conn.start_time + s.conn.holding_time - now_);
   d.measured = s.measured;
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
-    s.serving->release(s.conn.id, sim_.now());
+    s.serving->release(s.conn.id, now_);
     policy_.on_released(s.conn.id, s.conn.service, *s.serving);
   }
-  sim_.cancel(s.completion);
-  sim_.cancel(s.next_move);
   sessions_.erase(s.conn.id);
   return d;
-}
-
-void SessionDriver::handle_completion(ConnectionId id) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;  // already finished
-  finish(it->second, ConnectionState::kCompleted);
 }
 
 void SessionDriver::do_handoff(Session& s, cellular::BaseStation& target) {
@@ -170,22 +156,19 @@ void SessionDriver::do_handoff(Session& s, cellular::BaseStation& target) {
     return;
   }
   // Release on the source, then allocate on the target.
-  s.serving->release(s.conn.id, sim_.now());
+  s.serving->release(s.conn.id, now_);
   policy_.on_released(s.conn.id, s.conn.service, *s.serving);
-  const bool ok = target.allocate(s.conn, sim_.now(), /*via_handoff=*/true);
+  const bool ok = target.allocate(s.conn, now_, /*via_handoff=*/true);
   FACSP_ENSURES(ok);
   policy_.on_admitted(req, target);
   s.serving = &target;
   ++s.conn.handoff_count;
 }
 
-void SessionDriver::handle_mobility(ConnectionId id) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
-  Session& s = it->second;
-
+void SessionDriver::handle_mobility(Session& s) {
+  const ConnectionId id = s.conn.id;
   mobility_->advance(s.state, scenario_.mobility_update_s);
-  policy_.on_mobility(id, s.state, sim_.now());
+  policy_.on_mobility(id, s.state, now_);
 
   cellular::BaseStation* here =
       network_->station_covering(s.state.position);
@@ -206,8 +189,8 @@ void SessionDriver::handle_mobility(ConnectionId id) {
     do_handoff(s, *here);
     if (!sessions_.contains(id)) return;  // dropped during handoff
   }
-  s.next_move = sim_.schedule_in(scenario_.mobility_update_s,
-                                 [this, id] { handle_mobility(id); });
+  schedule(now_ + scenario_.mobility_update_s,
+           Event{id, s.generation, EventKind::kMobility});
 }
 
 cac::AdmissionRequest SessionDriver::inbound_request(
@@ -240,15 +223,8 @@ bool SessionDriver::admit_inbound(const CellArrival& arrival,
   s.conn.holding_time = arrival.remaining_holding_s;
   ++s.conn.handoff_count;
 
-  const ConnectionId id = s.conn.id;
-  s.completion =
-      sim_.schedule_at(arrival.when + arrival.remaining_holding_s,
-                       [this, id] { handle_completion(id); });
-  if (scenario_.enable_mobility)
-    s.next_move = sim_.schedule_at(arrival.when + scenario_.mobility_update_s,
-                                   [this, id] { handle_mobility(id); });
-  const bool inserted = sessions_.emplace(id, std::move(s)).second;
-  FACSP_ENSURES(inserted);  // shard id namespaces are disjoint
+  start(std::move(s), arrival.when + arrival.remaining_holding_s,
+        arrival.when + scenario_.mobility_update_s);
   return true;
 }
 
@@ -257,24 +233,85 @@ void SessionDriver::begin(int n_requests) {
   policy_.reset();
   network_->start_metrics(0.0);
 
+  // Element 0 is the centre's generator: its calls are the measured ones.
   for (std::size_t g = 0; g < traffic_.size(); ++g) {
-    const bool measured = (g == 0);  // element 0 is the centre's generator
     const int count = workload::SpatialLoadMap::scaled_requests(
         traffic_[g].weight, n_requests);
     for (const auto& call : traffic_[g].gen->generate(count)) {
-      sim_.schedule_at(call.arrival_time, [this, call, measured] {
-        handle_arrival(call, measured);
-      });
+      schedule(call.arrival_time, Event{arrivals_.size(), 0,
+                                        EventKind::kArrival});
+      arrivals_.push_back(call);
     }
+    if (g == 0) measured_arrivals_ = arrivals_.size();
+  }
+}
+
+void SessionDriver::schedule(sim::SimTime when, const Event& e) {
+  FACSP_EXPECTS_MSG(when >= now_, "event at " << when
+                                              << " is in the past (now="
+                                              << now_ << ")");
+  heap_.push(when, e);
+}
+
+void SessionDriver::start(Session s, sim::SimTime completion_at,
+                          sim::SimTime first_move_at) {
+  s.generation = next_generation_++;
+  const ConnectionId id = s.conn.id;
+  schedule(completion_at, Event{id, s.generation, EventKind::kCompletion});
+  if (scenario_.enable_mobility)
+    schedule(first_move_at, Event{id, s.generation, EventKind::kMobility});
+  const bool inserted = sessions_.emplace(id, std::move(s)).second;
+  FACSP_ENSURES(inserted);  // generator and shard id ranges are disjoint
+}
+
+SessionDriver::Session* SessionDriver::target(const Event& e) {
+  const auto it = sessions_.find(e.key);
+  if (it == sessions_.end() || it->second.generation != e.generation)
+    return nullptr;
+  return &it->second;
+}
+
+void SessionDriver::skim() {
+  while (!heap_.empty() && heap_.top().record.kind != EventKind::kArrival &&
+         target(heap_.top().record) == nullptr)
+    heap_.pop();
+}
+
+void SessionDriver::fire(const Event& e) {
+  switch (e.kind) {
+    case EventKind::kArrival:
+      handle_arrival(arrivals_[e.key], e.key < measured_arrivals_);
+      return;
+    case EventKind::kCompletion:
+      finish(*target(e), ConnectionState::kCompleted);
+      return;
+    case EventKind::kMobility:
+      handle_mobility(*target(e));
+      return;
   }
 }
 
 std::uint64_t SessionDriver::advance_until(sim::SimTime t) {
-  return sim_.run_until(t);
+  FACSP_EXPECTS(t >= now_);
+  // skim() after every event keeps a live event on top, so the loop, idle()
+  // and next_event_time() never see a stale one.
+  std::uint64_t n = 0;
+  while (!heap_.empty() && heap_.top().when <= t) {
+    const auto e = heap_.pop();
+    now_ = e.when;  // the clock advances before the event runs
+    last_event_ = now_;
+    fire(e.record);
+    ++fired_;
+    ++n;
+    skim();
+  }
+  if (now_ < t) now_ = t;
+  return n;
 }
 
 sim::SimTime SessionDriver::next_event_time() const {
-  return sim_.next_event_time();
+  return heap_.empty() ? std::numeric_limits<sim::SimTime>::infinity()
+                       : heap_.top().when;
 }
 
 namespace {
@@ -287,11 +324,11 @@ RunResult SessionDriver::result() const {
   RunResult result;
   result.metrics = metrics_;
   // Average over the active period (first arrival batch to last event),
-  // not to the safety horizon — run_until() parks the clock there even
+  // not to the safety horizon — advance_until() parks the clock there even
   // when the system drained hours earlier.
-  const sim::SimTime end = std::max(sim_.last_event_time(), kMinDurationS);
+  const sim::SimTime end = std::max(last_event_, kMinDurationS);
   result.duration_s = end;
-  result.events = sim_.events_fired();
+  result.events = fired_;
   result.center_utilization =
       network_->center().average_utilization(end);
   return result;
@@ -307,7 +344,7 @@ RunResult SessionDriver::idle_result() {
 
 RunResult SessionDriver::run(int n_requests) {
   begin(n_requests);
-  sim_.run_until(scenario_.horizon_s);
+  advance_until(scenario_.horizon_s);
   return result();
 }
 

@@ -12,14 +12,15 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "cac/policy.h"
 #include "cellular/metrics.h"
 #include "cellular/network.h"
 #include "cellular/traffic.h"
 #include "core/scenario.h"
+#include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
 
 namespace facsp::core {
 
@@ -31,9 +32,15 @@ struct RunResult {
   std::uint64_t events = 0;         ///< DES events fired
 };
 
-/// Drives one simulation run.  Owns the network, simulator and per-run
-/// random streams; the admission policy is borrowed (reset() is called at
-/// the start of the run).
+/// Drives one simulation run.  Owns the network, the event loop and the
+/// per-run random streams; the admission policy is borrowed (reset() is
+/// called at the start of the run).
+///
+/// The loop has three kinds of event: a call arrives, a call completes, a
+/// mobile moves (and maybe hands off).  Events at one instant fire in the
+/// order they were scheduled.  A session's events carry the generation it
+/// was created with; once the session is gone, or its id came back as a
+/// new session, they are stale and skipped without firing.
 class SessionDriver {
  public:
   /// `replication` seeds the run's random streams (common random numbers:
@@ -86,7 +93,7 @@ class SessionDriver {
   std::uint64_t advance_until(sim::SimTime t);
 
   /// True when no events remain (the shard drained).
-  bool idle() const noexcept { return !sim_.has_pending(); }
+  bool idle() const noexcept { return heap_.empty(); }
 
   /// Timestamp of the shard's earliest pending event, +infinity when
   /// idle().  The multi-cell engine's event-driven scheduler reads this to
@@ -131,13 +138,32 @@ class SessionDriver {
     cellular::MobileState state;
     cellular::BaseStation* serving = nullptr;
     bool measured = false;  ///< true when the call originated in the centre
-    sim::EventHandle completion{};
-    sim::EventHandle next_move{};
+    std::uint64_t generation = 0;  ///< stamped on the session's events
   };
 
+  enum class EventKind : std::uint8_t { kArrival, kCompletion, kMobility };
+  struct Event {
+    /// Index into arrivals_ for an arrival, else the session's id.
+    std::uint64_t key = 0;
+    std::uint64_t generation = 0;  ///< the session's; 0 for an arrival
+    EventKind kind = EventKind::kArrival;
+  };
+
+  /// Queue `e` at `when`, which must be finite and not before now_.
+  void schedule(sim::SimTime when, const Event& e);
+  /// Stamp `s` with a fresh generation, queue its completion and (with
+  /// mobility on) its first move, and add it to sessions_.
+  void start(Session s, sim::SimTime completion_at,
+             sim::SimTime first_move_at);
+  /// The live session a completion or mobility event belongs to, or
+  /// nullptr when the event is stale.
+  Session* target(const Event& e);
+  /// Drop stale events from the top of the heap.
+  void skim();
+  void fire(const Event& e);
+
   void handle_arrival(const cellular::CallRequest& req, bool measured);
-  void handle_completion(cellular::ConnectionId id);
-  void handle_mobility(cellular::ConnectionId id);
+  void handle_mobility(Session& s);
   void do_handoff(Session& s, cellular::BaseStation& target);
   void finish(Session& s, cellular::ConnectionState final_state);
   /// Release the session's resources and erase it *without* recording a
@@ -159,7 +185,14 @@ class SessionDriver {
   ScenarioConfig scenario_;
   cac::AdmissionPolicy& policy_;
   std::unique_ptr<cellular::CellularNetwork> network_;
-  sim::Simulator sim_;
+  sim::EventHeap<Event> heap_;  ///< its top is live between calls
+  sim::SimTime now_ = 0.0;
+  sim::SimTime last_event_ = 0.0;  ///< 0 until an event fires
+  std::uint64_t fired_ = 0;
+  std::uint64_t next_generation_ = 1;
+  std::vector<cellular::CallRequest> arrivals_;  ///< filled by begin()
+  /// arrivals_[0, measured_arrivals_) come from the centre's generator.
+  std::size_t measured_arrivals_ = 0;
   sim::RngFactory rng_;
   /// One spawner per cell with positive spatial weight (just the centre
   /// under the default center-only map).  Element 0 is always the centre's.

@@ -18,9 +18,8 @@
 #include "fuzzy/variable.h"     // linguistic variables
 
 // Discrete-event simulation
-#include "sim/event_queue.h"  // stable cancellable event set
+#include "sim/event_queue.h"  // SimTime, the stable (time, seq) event heap
 #include "sim/rng.h"          // named deterministic streams
-#include "sim/simulator.h"    // the run loop
 #include "sim/stats.h"        // mean/CI/histogram/time-weighted
 #include "sim/timeseries.h"   // figure/CSV rendering
 
@@ -51,5 +50,5 @@
 #include "core/paper.h"        // the paper's Sec. 4 scenarios
 #include "core/report.h"       // shape checks, CSV
 #include "core/scenario.h"     // ScenarioConfig
-#include "core/session.h"      // the session driver
+#include "core/session.h"      // the session driver and its event loop
 #include "core/sweep.h"        // replicated sweeps (SweepSpec, SweepRunner)

@@ -1,79 +1,67 @@
-// Pending-event set for the discrete-event simulator.
+// Simulation time and the stable event heap the session driver runs on.
 //
-// A stable priority queue ordered by (time, sequence): events scheduled at
-// the same instant fire in scheduling order, which keeps runs deterministic.
-// Cancellation is supported via handles (lazy deletion).
+// Records pushed at the same instant pop in push order, which keeps runs
+// deterministic.  The heap holds plain records, not callbacks: the owner
+// binds each record's meaning (core/session.h) and cancels by leaving stale
+// records in place, dropping them when they reach the top.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
+
+#include "common/expects.h"
 
 namespace facsp::sim {
 
 /// Simulation time in seconds.
 using SimTime = double;
 
-/// Opaque handle identifying a scheduled event; used to cancel it.
-struct EventHandle {
-  std::uint64_t id = 0;
-  friend bool operator==(const EventHandle&, const EventHandle&) = default;
-};
-
-/// Min-heap of timestamped callbacks with stable FIFO order within a
-/// timestamp and cancellation via lazy deletion.
-class EventQueue {
+/// Min-heap of `Record`s ordered by (when, seq), where seq counts pushes.
+template <class Record>
+class EventHeap {
  public:
-  using Action = std::function<void()>;
-
-  /// Schedule `action` at absolute time `when`.  Returns a handle that can
-  /// cancel the event as long as it has not fired.  Throws
-  /// facsp::ContractViolation for non-finite times.
-  EventHandle schedule(SimTime when, Action action);
-
-  /// Cancel a scheduled event.  Returns false if the event already fired,
-  /// was already cancelled, or the handle is unknown.
-  bool cancel(EventHandle h);
-
-  /// True when no live events remain.
-  bool empty() const noexcept { return live_ == 0; }
-
-  /// Number of live (non-cancelled, unfired) events.
-  std::size_t size() const noexcept { return live_; }
-
-  /// Time of the earliest live event.  Precondition: !empty().
-  SimTime next_time() const;
-
-  /// Pop and run the earliest live event; returns its timestamp.
-  /// Precondition: !empty().
-  SimTime run_next();
-
-  /// Drop all pending events.
-  void clear();
-
- private:
   struct Entry {
     SimTime when;
     std::uint64_t seq;
-    std::uint64_t id;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+    Record record;
   };
 
-  /// Pop cancelled entries off the heap top.
-  void skim() const;
+  /// Push `record` at `when`.  Throws facsp::ContractViolation for a
+  /// non-finite time.
+  void push(SimTime when, const Record& record) {
+    FACSP_EXPECTS_MSG(std::isfinite(when), "event time must be finite, got "
+                                               << when);
+    heap_.push_back(Entry{when, next_seq_++, record});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_map<std::uint64_t, Action> actions_;  // live events only
-  std::uint64_t next_id_ = 1;
+  bool empty() const noexcept { return heap_.empty(); }
+
+  /// Earliest entry.  Precondition: !empty().
+  const Entry& top() const {
+    FACSP_EXPECTS_MSG(!empty(), "top() on an empty event heap");
+    return heap_.front();
+  }
+
+  /// Remove and return the earliest entry.  Precondition: !empty().
+  Entry pop() {
+    FACSP_EXPECTS_MSG(!empty(), "pop() on an empty event heap");
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Entry e = heap_.back();
+    heap_.pop_back();
+    return e;
+  }
+
+ private:
+  static bool later(const Entry& a, const Entry& b) noexcept {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
+  }
+
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
 };
 
 }  // namespace facsp::sim

@@ -250,7 +250,7 @@ TEST(SccReachFilter, MatchesNodeLoopOnRandomTriples) {
           rng() % 2 ? 60.0 * static_cast<double>(1 + rng() % 3)
                     : 300.0 * unit(rng);
       const HexCoord near = nearby[rng() % nearby.size()];
-      const HexCoord at = net.layout().cell_at(pos);
+      const HexCoord at = net.layout().cell_at(pos).value();
       const HexCoord cell{at.q + near.q, at.r + near.r};
       const double p = scc.cell_probability(st, cell, tau);
       decided_zero += p == 0.0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/error.h"
@@ -94,7 +95,7 @@ TEST(HexLayout, PointsNearBoundaryResolveToSomeAdjacentCell) {
   sim::RandomStream rng(3);
   for (int i = 0; i < 500; ++i) {
     const Point p{rng.uniform(-5000.0, 5000.0), rng.uniform(-5000.0, 5000.0)};
-    const HexCoord h = layout.cell_at(p);
+    const HexCoord h = layout.cell_at(p).value();
     // The chosen cell's centre must be the nearest or near-nearest centre.
     const double d_own = distance(p, layout.center(h));
     for (const auto& n : hex_neighbors(h)) {
@@ -112,6 +113,20 @@ TEST(HexLayout, RandomPointInCellStaysInCell) {
         target, [&rng] { return rng.uniform(0.0, 1.0); });
     EXPECT_EQ(layout.cell_at(p), target);
   }
+}
+
+TEST(HexLayout, NonFiniteOrHugePointsLieInNoCell) {
+  // Their axial coordinates are NaN or beyond int: converting them would be
+  // undefined behaviour, so cell_at reports no cell instead.
+  const HexLayout layout(500.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point& p : {Point{nan, nan}, Point{inf, 0.0}, Point{1e300, 0.0},
+                         Point{0.0, -inf}, Point{0.0, nan}, Point{0.0, -1e300}})
+    EXPECT_FALSE(layout.cell_at(p).has_value()) << p;
+  // The last representable ring of cells still resolves.
+  const HexCoord far{1 << 29, -(1 << 29)};
+  EXPECT_EQ(layout.cell_at(layout.center(far)), far);
 }
 
 TEST(HexLayout, RejectsNonPositiveRadius) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/error.h"
@@ -48,6 +49,16 @@ TEST(Network, StationCoveringPoints) {
   EXPECT_EQ(net.station_covering({100000.0, 0.0}), nullptr);
   EXPECT_FALSE(net.covers({100000.0, 0.0}));
   EXPECT_TRUE(net.covers({0.0, 0.0}));
+}
+
+TEST(Network, NonFiniteOrHugePointsHaveNoCoveringStation) {
+  CellularNetwork net(1, 1000.0, 40.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point& p : {Point{nan, nan}, Point{inf, 0.0}, Point{1e300, 0.0}}) {
+    EXPECT_EQ(net.station_covering(p), nullptr) << p;
+    EXPECT_FALSE(net.covers(p)) << p;
+  }
 }
 
 TEST(Network, NeighborLookup) {

@@ -1,6 +1,12 @@
-// Steady-state allocation tests for the multi-cell engine (counter:
-// tests/alloc_counter.h):
+// Steady-state allocation tests for the session driver and the multi-cell
+// engine (counter: tests/alloc_counter.h):
 //
+//   * the session driver's event loop allocates per admission, not per
+//     event: a FACS-P driver on the handover-storm cell, driven through
+//     begin + advance_until, stays within the nodes its per-call maps take
+//     (sessions_, BaseStation::held_ and FACS-P's counter entries for an
+//     admitted call; held_ and counters on the target for a handoff) plus a
+//     fixed slack for container growth, while it fires many more events;
 //   * an epoch observer costs only one-time buffer growth: EpochStats and
 //     its routes persist across barriers, so an observed handover-storm run
 //     allocates at most 64 more times than an identical unobserved one;
@@ -12,9 +18,11 @@
 
 #include <vector>
 
+#include "cac/facs_p.h"
 #include "cac/policy.h"
 #include "cellular/network.h"
 #include "core/multicell.h"
+#include "core/session.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/rng.h"
@@ -26,6 +34,31 @@ namespace facsp::core {
 namespace {
 
 using testutil::allocations;
+
+TEST(SessionDriverAlloc, EventLoopAllocatesPerAdmissionNotPerEvent) {
+  const ScenarioConfig scen =
+      workload::catalog_scenario("multicell-handover-storm");
+  cac::FacsPPolicy policy;
+  SessionDriver driver(scen, policy, 0);
+  driver.begin(100);
+
+  const std::size_t before = allocations();
+  driver.advance_until(scen.horizon_s);
+  const std::size_t allocated = allocations() - before;
+
+  const RunResult r = driver.result();
+  ASSERT_TRUE(driver.idle());
+  // Heap, map and bucket growth: a few dozen reallocations and rehashes.
+  constexpr std::size_t kGrowthSlack = 64;
+  const std::size_t bound = 3 * r.metrics.accepted_new() +
+                            2 * r.metrics.handoff_successes() + kGrowthSlack;
+  EXPECT_LE(allocated, bound)
+      << allocated << " allocations for " << r.events << " events, "
+      << r.metrics.accepted_new() << " admissions and "
+      << r.metrics.handoff_successes() << " handoffs";
+  // Not vacuous: an allocation per event would be far over the bound.
+  EXPECT_GT(r.events, 3 * bound);
+}
 
 TEST(MultiCellAlloc, EpochObserverAddsOnlyOneTimeBufferGrowth) {
   const ScenarioConfig scen =

@@ -1,6 +1,9 @@
 // Edge cases and failure-injection for the session driver.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "cac/guard_channel.h"
 #include "core/paper.h"
 #include "core/session.h"
@@ -138,6 +141,102 @@ TEST(SessionEdge, DurationCoversLastEventNotHorizon) {
   // the horizon.
   EXPECT_LT(r.duration_s, 5000.0);
   EXPECT_GT(r.duration_s, 0.0);
+}
+
+// --- the event loop ---------------------------------------------------------
+// Sessions admitted through admit_inbound on a lone 500 m cell, so every
+// event time is known: a session admitted at w with holding h completes at
+// w + h and moves at w + 5, w + 10, ... (mobility_update_s = 5).
+
+SessionDriver::CellArrival inbound(cellular::ConnectionId id,
+                                   cellular::Point at, double speed_kmh,
+                                   sim::SimTime when, sim::SimTime holding) {
+  SessionDriver::CellArrival a;
+  a.conn.id = id;
+  a.state = cellular::MobileState{at, speed_kmh, 0.0};
+  a.when = when;
+  a.remaining_holding_s = holding;
+  return a;
+}
+
+bool admit(SessionDriver& driver, const SessionDriver::CellArrival& a) {
+  return driver.admit_inbound(a, driver.inbound_request(a));
+}
+
+ScenarioConfig lone_cell() {
+  auto scen = base();
+  scen.rings = 0;
+  scen.cell_radius_m = 500.0;
+  return scen;
+}
+
+TEST(SessionEdge, StaleEventsNeverHitASessionBackUnderItsId) {
+  // A session that leaves and comes back under the same id gets a new
+  // generation: the events its earlier lives left queued must not fire on
+  // it.  B, parked at the centre, moves every 5 s, so a live event stays on
+  // top of the heap and A's stale events stay queued beneath it instead of
+  // being skimmed off an otherwise empty heap.
+  const auto scen = lone_cell();
+  cac::CompleteSharingPolicy policy;
+  SessionDriver driver(scen, policy, 0);
+  std::vector<SessionDriver::CellDeparture> departed;
+  driver.set_departure_sink(
+      [&departed](SessionDriver::CellDeparture d) { departed.push_back(d); });
+  driver.begin(0);
+  constexpr cellular::ConnectionId kA = 42, kB = 7;
+  ASSERT_TRUE(admit(driver, inbound(kB, {0.0, 0.0}, 0.0, 0.0, 1000.0)));
+
+  // A's first life: near the east edge heading out at 100 km/h.  It leaves
+  // at its first move (t = 6); its completion at 31 stays queued.
+  ASSERT_TRUE(admit(driver, inbound(kA, {400.0, 0.0}, 100.0, 1.0, 30.0)));
+  EXPECT_EQ(driver.advance_until(6.0), 2u);  // B at 5, A leaves at 6
+  ASSERT_EQ(departed.size(), 1u);
+  EXPECT_DOUBLE_EQ(departed[0].when, 6.0);  // the clock moved first
+  EXPECT_DOUBLE_EQ(departed[0].remaining_holding_s, 25.0);
+  EXPECT_EQ(driver.session_count(), 1u);
+
+  // Second life: parked; completes at 16.5 with its move at 21 queued.
+  ASSERT_TRUE(admit(driver, inbound(kA, {0.0, 0.0}, 0.0, 6.0, 10.5)));
+  EXPECT_EQ(driver.advance_until(16.5), 5u);  // B 10, 15; A 11, 16, 16.5
+  EXPECT_EQ(driver.session_count(), 1u);
+
+  // Third life, due to complete at 35.5.  The second life's move at 21 and
+  // the first life's completion at 31 would move it or end it early.
+  ASSERT_TRUE(admit(driver, inbound(kA, {0.0, 0.0}, 0.0, 16.5, 19.0)));
+  EXPECT_EQ(driver.advance_until(35.0), 7u);  // B 20..35; A 21.5, 26.5, 31.5
+  EXPECT_EQ(driver.session_count(), 2u);
+  EXPECT_DOUBLE_EQ(driver.next_event_time(), 35.5);
+  EXPECT_EQ(driver.advance_until(35.5), 1u);
+  EXPECT_EQ(driver.session_count(), 1u);
+
+  const RunResult r = driver.result();
+  EXPECT_EQ(r.events, 15u);
+  EXPECT_DOUBLE_EQ(r.duration_s, 35.5);
+  EXPECT_EQ(departed.size(), 1u);
+}
+
+TEST(SessionEdge, AdvanceParksTheClockAndRejectsPastOrNonFiniteEvents) {
+  const auto scen = lone_cell();
+  cac::CompleteSharingPolicy policy;
+  SessionDriver driver(scen, policy, 0);
+  driver.begin(0);
+  EXPECT_TRUE(driver.idle());
+  ASSERT_TRUE(admit(driver, inbound(1, {0.0, 0.0}, 0.0, 0.0, 100.0)));
+  EXPECT_FALSE(driver.idle());
+
+  EXPECT_EQ(driver.advance_until(12.0), 2u);  // moves at 5 and 10
+  EXPECT_DOUBLE_EQ(driver.next_event_time(), 15.0);
+  EXPECT_DOUBLE_EQ(driver.result().duration_s, 10.0);  // not the horizon
+  // The clock is parked at 12: earlier times are in the past, here the
+  // advance target and a completion due at 11.5.
+  EXPECT_THROW(driver.advance_until(11.0), ContractViolation);
+  EXPECT_THROW(admit(driver, inbound(2, {0.0, 0.0}, 0.0, 11.0, 0.5)),
+               ContractViolation);
+  EXPECT_THROW(admit(driver, inbound(3, {0.0, 0.0}, 0.0, 12.0,
+                                     std::numeric_limits<double>::infinity())),
+               ContractViolation);
+  EXPECT_TRUE(admit(driver, inbound(4, {0.0, 0.0}, 0.0, 12.0, 1.0)));
+  EXPECT_EQ(driver.advance_until(13.0), 1u);  // 4 completes at 13
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -10,185 +11,124 @@
 namespace facsp::sim {
 namespace {
 
-TEST(EventQueue, FiresInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+/// Pop everything, returning the records in pop order.
+template <class Record>
+std::vector<Record> drain(EventHeap<Record>& heap) {
+  std::vector<Record> out;
+  while (!heap.empty()) out.push_back(heap.pop().record);
+  return out;
 }
 
-TEST(EventQueue, TiesFireInSchedulingOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) q.schedule(5.0, [&, i] { order.push_back(i); });
-  while (!q.empty()) q.run_next();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+TEST(EventHeap, PopsInTimeOrder) {
+  EventHeap<int> heap;
+  heap.push(3.0, 3);
+  heap.push(1.0, 1);
+  heap.push(2.0, 2);
+  EXPECT_EQ(drain(heap), (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, RunNextReturnsTimestamp) {
-  EventQueue q;
-  q.schedule(4.5, [] {});
-  EXPECT_DOUBLE_EQ(q.next_time(), 4.5);
-  EXPECT_DOUBLE_EQ(q.run_next(), 4.5);
+TEST(EventHeap, TopAndPopCarryTheTimestamp) {
+  EventHeap<int> heap;
+  heap.push(4.5, 7);
+  EXPECT_DOUBLE_EQ(heap.top().when, 4.5);
+  const auto e = heap.pop();
+  EXPECT_DOUBLE_EQ(e.when, 4.5);
+  EXPECT_EQ(e.record, 7);
+  EXPECT_TRUE(heap.empty());
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const auto h = q.schedule(1.0, [&] { ran = true; });
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelTwiceReturnsFalse) {
-  EventQueue q;
-  const auto h = q.schedule(1.0, [] {});
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));
-}
-
-TEST(EventQueue, CancelAfterFireReturnsFalse) {
-  EventQueue q;
-  const auto h = q.schedule(1.0, [] {});
-  q.run_next();
-  EXPECT_FALSE(q.cancel(h));
-}
-
-TEST(EventQueue, CancelledEventsAreSkipped) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1.0, [&] { order.push_back(1); });
-  const auto h = q.schedule(2.0, [&] { order.push_back(2); });
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.cancel(h);
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, ActionsMayScheduleMoreEvents) {
-  EventQueue q;
-  int fired = 0;
-  std::function<void(int)> chain = [&](int depth) {
-    ++fired;
-    if (depth < 5) q.schedule(static_cast<double>(depth + 1),
-                              [&chain, depth] { chain(depth + 1); });
-  };
-  q.schedule(0.0, [&chain] { chain(0); });
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(fired, 6);
-}
-
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(EventQueue, RejectsNonFiniteTimeAndEmptyAction) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule(std::numeric_limits<double>::infinity(), [] {}),
+TEST(EventHeap, RejectsNonFiniteTime) {
+  EventHeap<int> heap;
+  EXPECT_THROW(heap.push(std::numeric_limits<double>::infinity(), 0),
                ContractViolation);
-  EXPECT_THROW(q.schedule(1.0, EventQueue::Action{}), ContractViolation);
+  EXPECT_THROW(heap.push(std::numeric_limits<double>::quiet_NaN(), 0),
+               ContractViolation);
+  EXPECT_TRUE(heap.empty());
 }
 
-TEST(EventQueue, EmptyQueueAccessorsThrow) {
-  EventQueue q;
-  EXPECT_THROW(q.next_time(), ContractViolation);
-  EXPECT_THROW(q.run_next(), ContractViolation);
+TEST(EventHeap, EmptyHeapAccessorsThrow) {
+  EventHeap<int> heap;
+  EXPECT_THROW(heap.top(), ContractViolation);
+  EXPECT_THROW(heap.pop(), ContractViolation);
 }
 
 // --- tie-break hardening ---------------------------------------------------
 // The parallel sweep's bit-identical guarantee silently depends on events at
 // equal timestamps popping in FIFO insertion order (a plain heap would make
 // tie order an implementation accident).  These tests pin the property down
-// in the shapes the simulator actually produces.
+// in the shapes the session driver produces.
 
-TEST(EventQueue, TiesFifoEvenWhenInsertedNonContiguously) {
+TEST(EventHeap, TiesPopInPushOrder) {
+  EventHeap<int> heap;
+  for (int i = 0; i < 10; ++i) heap.push(5.0, i);
+  EXPECT_EQ(drain(heap), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(EventHeap, TiesFifoEvenWhenInsertedNonContiguously) {
   // Ties interleaved with other timestamps: FIFO order is per-timestamp
-  // scheduling order, not global insertion adjacency.
-  EventQueue q;
-  std::vector<std::string> order;
-  q.schedule(2.0, [&] { order.push_back("a@2"); });
-  q.schedule(1.0, [&] { order.push_back("x@1"); });
-  q.schedule(2.0, [&] { order.push_back("b@2"); });
-  q.schedule(1.0, [&] { order.push_back("y@1"); });
-  q.schedule(2.0, [&] { order.push_back("c@2"); });
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<std::string>{"x@1", "y@1", "a@2", "b@2",
-                                             "c@2"}));
+  // push order, not global insertion adjacency.
+  EventHeap<std::string> heap;
+  heap.push(2.0, "a@2");
+  heap.push(1.0, "x@1");
+  heap.push(2.0, "b@2");
+  heap.push(1.0, "y@1");
+  heap.push(2.0, "c@2");
+  EXPECT_EQ(drain(heap), (std::vector<std::string>{"x@1", "y@1", "a@2",
+                                                   "b@2", "c@2"}));
 }
 
-TEST(EventQueue, TiesFifoSurvivesCancellation) {
-  // Cancelling members of a tie group must not disturb the order of the
-  // survivors (lazy deletion keeps heap entries around).
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 10; ++i)
-    handles.push_back(q.schedule(5.0, [&, i] { order.push_back(i); }));
-  for (int i = 1; i < 10; i += 2) EXPECT_TRUE(q.cancel(handles[i]));
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6, 8}));
-}
-
-TEST(EventQueue, TiesScheduledFromRunningEventFireAfterExistingTies) {
-  // An action that schedules more work at the *current* timestamp gets a
+TEST(EventHeap, TiesPushedWhileDrainingPopAfterExistingTies) {
+  // An event that schedules more work at the *current* timestamp gets a
   // later sequence number, so it runs after everything already queued there.
-  EventQueue q;
+  EventHeap<std::string> heap;
+  heap.push(1.0, "first");
+  heap.push(1.0, "second");
   std::vector<std::string> order;
-  q.schedule(1.0, [&] {
-    order.push_back("first");
-    q.schedule(1.0, [&] { order.push_back("nested"); });
-  });
-  q.schedule(1.0, [&] { order.push_back("second"); });
-  while (!q.empty()) q.run_next();
+  while (!heap.empty()) {
+    const auto e = heap.pop();
+    order.push_back(e.record);
+    if (e.record == "first") heap.push(e.when, "nested");
+  }
   EXPECT_EQ(order,
             (std::vector<std::string>{"first", "second", "nested"}));
 }
 
-TEST(EventQueue, TieBreakStressScrambledInsertion) {
+TEST(EventHeap, TieBreakStressScrambledInsertion) {
   // 1000 events over 10 shared timestamps, inserted in a scrambled but
   // deterministic order; within each timestamp they must pop in exactly the
-  // order they were scheduled.
-  EventQueue q;
-  std::vector<std::vector<int>> fired(10);   // per-timestamp pop order
+  // order they were pushed.
+  EventHeap<int> heap;
   std::vector<std::vector<int>> expected(10);
-  std::vector<double> pop_times;
   for (int i = 0; i < 1000; ++i) {
     const int k = (i * 7919) % 1000;  // 7919 coprime with 1000: a permutation
     const int t = k % 10;
     expected[t].push_back(k);
-    q.schedule(static_cast<double>(t),
-               [&fired, &pop_times, t, k] {
-                 fired[t].push_back(k);
-                 pop_times.push_back(static_cast<double>(t));
-               });
+    heap.push(static_cast<double>(t), k);
   }
-  while (!q.empty()) q.run_next();
-  for (int t = 0; t < 10; ++t) EXPECT_EQ(fired[t], expected[t]) << "t=" << t;
-  for (std::size_t i = 1; i < pop_times.size(); ++i)
-    EXPECT_LE(pop_times[i - 1], pop_times[i]);
+  std::vector<std::vector<int>> popped(10);  // per-timestamp pop order
+  double last = -1.0;
+  while (!heap.empty()) {
+    const auto e = heap.pop();
+    EXPECT_LE(last, e.when);
+    last = e.when;
+    popped[static_cast<std::size_t>(e.when)].push_back(e.record);
+  }
+  for (int t = 0; t < 10; ++t) EXPECT_EQ(popped[t], expected[t]) << "t=" << t;
 }
 
-TEST(EventQueue, ManyEventsStressOrdering) {
-  EventQueue q;
-  std::vector<double> fired;
-  for (int i = 0; i < 1000; ++i) {
-    const double t = static_cast<double>((i * 7919) % 503);
-    q.schedule(t, [&fired, t] { fired.push_back(t); });
+TEST(EventHeap, ManyEventsStressOrdering) {
+  EventHeap<int> heap;
+  for (int i = 0; i < 1000; ++i)
+    heap.push(static_cast<double>((i * 7919) % 503), i);
+  double last = -1.0;
+  int popped = 0;
+  while (!heap.empty()) {
+    const double when = heap.pop().when;
+    EXPECT_LE(last, when);
+    last = when;
+    ++popped;
   }
-  while (!q.empty()) q.run_next();
-  ASSERT_EQ(fired.size(), 1000u);
-  for (std::size_t i = 1; i < fired.size(); ++i)
-    EXPECT_LE(fired[i - 1], fired[i]);
+  EXPECT_EQ(popped, 1000);
 }
 
 }  // namespace
