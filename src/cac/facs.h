@@ -24,11 +24,24 @@ struct FacsConfig {
   double handoff_score_bonus = 0.15;
 };
 
+/// FACS's FLC1-D and FLC2, with the policy defuzzifier.  Immutable, so
+/// several policies may share them.
+std::shared_ptr<const fuzzy::FuzzyController> make_facs_flc1(
+    const Flc1DistanceParams& params);
+std::shared_ptr<const fuzzy::FuzzyController> make_facs_flc2(
+    const Flc2Params& params);
+
 /// The previous-work fuzzy CAC: FLC1-D (Sp, An, Di) -> Cv, FLC2 (Cv, Rq,
 /// plain Cs) -> A/R.
 class FacsPolicy final : public FuzzyCacBase {
  public:
+  /// Builds its own controllers: make_facs_flc1(config.flc1) and
+  /// make_facs_flc2(config.flc2).
   explicit FacsPolicy(const FacsConfig& config = {});
+  /// Shares `flc1` and `flc2`, which must have been built from `config`.
+  FacsPolicy(const FacsConfig& config,
+             std::shared_ptr<const fuzzy::FuzzyController> flc1,
+             std::shared_ptr<const fuzzy::FuzzyController> flc2);
 
   std::string_view name() const noexcept override { return "FACS"; }
 

@@ -249,12 +249,12 @@ void SccPolicy::cast_shadows(double tau, cellular::ConnectionId self,
   const double surv = survival(tau);
   for (ClusterCell& c : cells) c.demand = c.own = 0.0;
   Projection pr;
-  for (const auto& [id, a] : actives_) {
+  for (const Active& a : actives_) {
     pr.aim(a.state, tau);
     for (ClusterCell& c : cells) {
       const double share = probability(pr, c.coord, c.centre) * a.bw * surv;
       c.demand += share;
-      if (id == self) c.own = share;
+      if (a.id == self) c.own = share;
     }
   }
 }
@@ -290,7 +290,8 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
   // cluster over every future window, with the requester's own tentative
   // shadow included.  Each (mobile, window) pair is projected at most once
   // and credited to every cluster cell; a cell's demand still sums the
-  // actives in map order, so it equals projected_demand() bit for bit.
+  // actives in ascending id order, so it equals projected_demand() bit for
+  // bit.
   double worst_margin = 1.0;  // fraction of capacity left, worst case
   Projection requester;
   for (int k = 1; k <= config_.windows; ++k) {
@@ -331,9 +332,21 @@ AdmissionDecision SccPolicy::decide(const AdmissionRequest& req,
   return d;
 }
 
+std::vector<SccPolicy::Active>::iterator SccPolicy::find_active(
+    cellular::ConnectionId id) {
+  return std::lower_bound(
+      actives_.begin(), actives_.end(), id,
+      [](const Active& a, cellular::ConnectionId key) { return a.id < key; });
+}
+
 void SccPolicy::on_admitted(const AdmissionRequest& req,
                             const cellular::BaseStation& /*bs*/) {
-  actives_[req.id] = Active{req.mobile, req.bandwidth};
+  const auto it = find_active(req.id);
+  const Active a{req.id, req.mobile, req.bandwidth};
+  if (it != actives_.end() && it->id == req.id)
+    *it = a;
+  else
+    actives_.insert(it, a);
 }
 
 void SccPolicy::on_released(cellular::ConnectionId id,
@@ -343,14 +356,15 @@ void SccPolicy::on_released(cellular::ConnectionId id,
   // re-admission path goes through decide()/on_admitted() which refreshes
   // the entry, so erasing here is correct for completions and safe for
   // handoffs (on_admitted re-inserts).
-  actives_.erase(id);
+  const auto it = find_active(id);
+  if (it != actives_.end() && it->id == id) actives_.erase(it);
 }
 
 void SccPolicy::on_mobility(cellular::ConnectionId id,
                             const cellular::MobileState& state,
                             sim::SimTime /*now*/) {
-  const auto it = actives_.find(id);
-  if (it != actives_.end()) it->second.state = state;
+  const auto it = find_active(id);
+  if (it != actives_.end() && it->id == id) it->state = state;
 }
 
 void SccPolicy::reset() { actives_.clear(); }

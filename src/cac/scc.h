@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cac/policy.h"
@@ -113,9 +112,12 @@ class SccPolicy final : public AdmissionPolicy {
 
  private:
   struct Active {
+    cellular::ConnectionId id;
     cellular::MobileState state;
     cellular::Bandwidth bw;
   };
+  /// The entry for `id`, or where it would be inserted.
+  std::vector<Active>::iterator find_active(cellular::ConnectionId id);
 
   // One mobile's shadow at one window: the reach circle every heading node
   // lies on and, once some cell needs them, the nodes' headings and
@@ -149,7 +151,7 @@ class SccPolicy final : public AdmissionPolicy {
 
   double heading_sigma_deg(double speed_kmh) const noexcept;
   double survival(double tau) const noexcept;
-  // Fills every cell's demand (all actives' shares, in map order) and own
+  // Fills every cell's demand (all actives' shares, by ascending id) and own
   // (the share of active `self`, else 0) at now+tau, projecting each active
   // at most once.
   void cast_shadows(double tau, cellular::ConnectionId self,
@@ -164,7 +166,9 @@ class SccPolicy final : public AdmissionPolicy {
 
   const cellular::CellularNetwork& network_;
   SccConfig config_;
-  std::unordered_map<cellular::ConnectionId, Active> actives_;
+  // Ascending id: cast_shadows() sums shadows in this order, so a cell's
+  // demand is a function of the active set alone.
+  std::vector<Active> actives_;
   std::vector<ClusterCell> cluster_;  // decide() scratch, reserved up front
 };
 

@@ -1,5 +1,9 @@
 #include "core/experiment.h"
 
+#include <mutex>
+#include <utility>
+#include <vector>
+
 #include "cac/facs.h"
 #include "cac/facs_p.h"
 #include "cac/guard_channel.h"
@@ -60,15 +64,40 @@ PolicyFactory make_facs_pr_factory(cac::FacsPrConfig config) {
   };
 }
 
-// FACS keeps building per call: its FLC1 distance universe is the network's
-// cell radius, which a sweep axis can vary between calls.
+// FACS's FLC2 depends only on the config, but its FLC1-D distance universe
+// is the network's cell radius, which a sweep axis can vary between calls.
+// So the factory builds FLC2 once and FLC1-D once per radius it meets; the
+// memo is shared by every copy of the factory and may be hit from several
+// sweep workers at once.
 PolicyFactory make_facs_factory(cac::FacsConfig config) {
-  return [config](const cellular::CellularNetwork& network,
-                  sim::RngFactory&) {
+  struct Controllers {
+    std::shared_ptr<const fuzzy::FuzzyController> flc2;
+    std::mutex mutex;
+    std::vector<
+        std::pair<double, std::shared_ptr<const fuzzy::FuzzyController>>>
+        flc1_by_radius;
+  };
+  auto flcs = std::make_shared<Controllers>();
+  flcs->flc2 = cac::make_facs_flc2(config.flc2);
+  return [config, flcs](const cellular::CellularNetwork& network,
+                        sim::RngFactory&) {
     cac::FacsConfig cfg = config;
     if (cfg.flc1.cell_radius_m <= 0.0)
       cfg.flc1.cell_radius_m = network.layout().cell_radius();
-    return std::make_unique<cac::FacsPolicy>(cfg);
+    std::shared_ptr<const fuzzy::FuzzyController> flc1;
+    {
+      const std::lock_guard<std::mutex> lock(flcs->mutex);
+      for (const auto& [radius, flc] : flcs->flc1_by_radius)
+        if (radius == cfg.flc1.cell_radius_m) {
+          flc1 = flc;
+          break;
+        }
+      if (flc1 == nullptr) {
+        flc1 = cac::make_facs_flc1(cfg.flc1);
+        flcs->flc1_by_radius.emplace_back(cfg.flc1.cell_radius_m, flc1);
+      }
+    }
+    return std::make_unique<cac::FacsPolicy>(cfg, std::move(flc1), flcs->flc2);
   };
 }
 

@@ -60,19 +60,57 @@ constexpr std::uint64_t kSparseHandoversPerEpoch = 4;
 /// leaves every shard the full legacy id space (spawner strides are 2^24).
 constexpr cellular::ConnectionId kCellIdOffset = 1ull << 40;
 
-/// Super-grid coordinates: centre-out ring spiral (the first `cells`
-/// coordinates of it), so cell 0 is always the centre and cells 1..6 its
-/// ring-1 neighbours.
-std::vector<cellular::HexCoord> spiral_coords(int cells) {
+/// Super-grid coordinates: the first `cells` cells of the centre-out ring
+/// spiral, so cell 0 is always the centre and cells 1..6 its ring-1
+/// neighbours.  Ring d starts d steps along dir[4] (the start hex_ring uses)
+/// and walks d steps along each of dir[0..5] in turn.
+std::vector<cellular::HexCoord> spiral_coords(
+    int cells, const cellular::HexCoord (&dir)[6]) {
   std::vector<cellular::HexCoord> out;
   out.reserve(static_cast<std::size_t>(cells));
-  for (int radius = 0; static_cast<int>(out.size()) < cells; ++radius)
-    for (const cellular::HexCoord& c :
-         cellular::hex_ring(cellular::HexCoord{0, 0}, radius)) {
-      out.push_back(c);
-      if (static_cast<int>(out.size()) == cells) break;
-    }
+  out.push_back(cellular::HexCoord{0, 0});
+  for (int d = 1; static_cast<int>(out.size()) < cells; ++d) {
+    cellular::HexCoord cur{dir[4].q * d, dir[4].r * d};
+    for (int side = 0; side < 6; ++side)
+      for (int step = 0; step < d; ++step) {
+        if (static_cast<int>(out.size()) == cells) return out;
+        out.push_back(cur);
+        cur = cellular::HexCoord{cur.q + dir[side].q, cur.r + dir[side].r};
+      }
+  }
   return out;
+}
+
+/// Position of `c` in the unbounded spiral spiral_coords() walks, in closed
+/// form: ring d (the hex distance from the origin) follows the 1 + 3d(d-1)
+/// cells of the rings inside it, and `c`'s side and step along that ring
+/// follow from which of its edges it lies on.  Assumes hex_neighbors'
+/// E, NE, NW, W, SW, SE direction order, which the routing test pins.
+std::int64_t spiral_index(const cellular::HexCoord& c) {
+  const std::int64_t q = c.q;
+  const std::int64_t r = c.r;
+  const std::int64_t d = std::max({q < 0 ? -q : q, r < 0 ? -r : r,
+                                   q + r < 0 ? -(q + r) : q + r});
+  if (d == 0) return 0;
+  std::int64_t side = 5;  // q == -d, 0 <= r < d
+  std::int64_t step = r;
+  if (r == d && q < 0) {
+    side = 0;
+    step = q + d;
+  } else if (q + r == d && q < d) {
+    side = 1;
+    step = q;
+  } else if (q == d && r > -d) {
+    side = 2;
+    step = -r;
+  } else if (r == -d && q > 0) {
+    side = 3;
+    step = d - q;
+  } else if (q + r == -d && q > -d) {
+    side = 4;
+    step = -q;
+  }
+  return 1 + 3 * d * (d - 1) + side * d + step;
 }
 
 }  // namespace
@@ -87,11 +125,6 @@ MultiCellEngine::MultiCellEngine(const ScenarioConfig& scenario,
   scenario_.validate();
   FACSP_EXPECTS(static_cast<bool>(factory_));
 
-  coords_ = spiral_coords(scenario_.multicell.cells);
-  index_.reserve(coords_.size());
-  for (std::size_t k = 0; k < coords_.size(); ++k)
-    index_.emplace(coords_[k], static_cast<int>(k));
-
   // World angle of each hex neighbour direction (fixed E, NE, NW, W, SW, SE
   // order).  Computed from the layout geometry, not hardcoded, so a change
   // of hex orientation cannot desynchronise routing from the grid.
@@ -102,6 +135,7 @@ MultiCellEngine::MultiCellEngine(const ScenarioConfig& scenario,
     dir_angle_[d] = cellular::heading_deg(unit.center(cellular::HexCoord{0, 0}),
                                           unit.center(dirs[d]));
   }
+  coords_ = spiral_coords(scenario_.multicell.cells, dir_);
 
   // Empty slots only: build() fills a shard the first time it has work.
   shards_.resize(coords_.size());
@@ -109,7 +143,9 @@ MultiCellEngine::MultiCellEngine(const ScenarioConfig& scenario,
 
 void MultiCellEngine::build(int cell, int n_requests) {
   obs::ScopedSpan span("engine", "build", cell);
-  Shard& sh = shards_[static_cast<std::size_t>(cell)];
+  std::unique_ptr<Shard>& slot = shards_[static_cast<std::size_t>(cell)];
+  slot = std::make_unique<Shard>();
+  Shard& sh = *slot;
   // Cell 0 keeps the legacy seed roots so a 1-cell engine run *is* the
   // historical single-world run, bit for bit; every other shard gets its
   // own independent family under the "cell" component.
@@ -127,7 +163,7 @@ void MultiCellEngine::build(int cell, int n_requests) {
   sim::RngFactory policy_rng(
       sim::hash_seed(cell_seed, "policy", replication_));
   sh.policy->inner = factory_(sh.driver->network(), policy_rng);
-  Shard* self = &sh;  // shards_ never reallocates
+  Shard* self = &sh;  // a built shard never moves
   sh.driver->set_departure_sink([self](SessionDriver::CellDeparture dep) {
     self->outbox.push_back(std::move(dep));
   });
@@ -139,12 +175,12 @@ void MultiCellEngine::build(int cell, int n_requests) {
 
 bool MultiCellEngine::built(int cell) const {
   FACSP_EXPECTS(cell >= 0 && cell < cell_count());
-  return shards_[static_cast<std::size_t>(cell)].driver != nullptr;
+  return shards_[static_cast<std::size_t>(cell)] != nullptr;
 }
 
 const SessionDriver& MultiCellEngine::driver(int cell) const {
   FACSP_EXPECTS_MSG(built(cell), "shard " << cell << " was never built");
-  return *shards_[static_cast<std::size_t>(cell)].driver;
+  return *shard(cell).driver;
 }
 
 int MultiCellEngine::route_target(int cell, double heading_deg) const {
@@ -159,9 +195,9 @@ int MultiCellEngine::route_target(int cell, double heading_deg) const {
   }
   const cellular::HexCoord& dir = dir_[best];
   const cellular::HexCoord& from = coords_[static_cast<std::size_t>(cell)];
-  const auto it = index_.find(cellular::HexCoord{from.q + dir.q,
-                                                 from.r + dir.r});
-  return it == index_.end() ? -1 : it->second;
+  const std::int64_t k =
+      spiral_index(cellular::HexCoord{from.q + dir.q, from.r + dir.r});
+  return k < cell_count() ? static_cast<int>(k) : -1;
 }
 
 cellular::MobileState MultiCellEngine::entry_state(
@@ -187,8 +223,6 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
   es.departures = es.delivered = es.left_world = 0;
   es.admitted = es.dropped = 0;
   es.routes.clear();
-  es.active_sessions = 0;
-  es.used_bu = 0.0;
 
   // Inbox invariant: every inbox is empty here — phase 2 clears each one it
   // fills, right after processing it.  Only drained shards can hold outbox
@@ -198,7 +232,7 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
 
   // Phase 1 — route departures, in fixed (cell, drain-event) order.
   for (const int k : drain_) {
-    Shard& src = shards_[static_cast<std::size_t>(k)];
+    Shard& src = shard(k);
     for (SessionDriver::CellDeparture& dep : src.outbox) {
       ++es.departures;
       const int dst = route_target(k, dep.state.heading_deg);
@@ -214,10 +248,10 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
       }
       ++es.delivered;
       ++src.handoffs_out;
-      Shard& dsh = shards_[static_cast<std::size_t>(dst)];
       // First handover into a shard nobody built yet: build it now, empty —
       // the same state an eagerly built, never-drained shard has here.
-      if (dsh.driver == nullptr) build(dst, 0);
+      if (!built(dst)) build(dst, 0);
+      Shard& dsh = shard(dst);
       ++dsh.handoffs_in;
       if (dsh.inbox.empty()) touched_.push_back(dst);  // first touch
       SessionDriver::CellArrival a;
@@ -239,7 +273,7 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
   // Ascending cell order — the same order the historical all-cells sweep
   // processed non-empty inboxes in.
   for (const int t : touched_) {
-    Shard& sh = shards_[static_cast<std::size_t>(t)];
+    Shard& sh = shard(t);
     sh.requests.clear();
     for (const SessionDriver::CellArrival& a : sh.inbox)
       sh.requests.push_back(sh.driver->inbound_request(a));
@@ -261,29 +295,41 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
     sh.inbox.clear();  // restore the invariant for the next barrier
   }
 
-  const bool metrics_on = obs::metrics_enabled();
-  if (observer_ || metrics_on) {
-    // Built shards only, ascending: an unbuilt shard would add exact zeros,
-    // so the double sum keeps the all-cells order's value bit for bit.
-    for (const int k : built_) {
-      const SessionDriver& drv = *shards_[static_cast<std::size_t>(k)].driver;
-      es.active_sessions += drv.session_count();
-      const cellular::CellularNetwork& net = drv.network();
-      for (std::size_t b = 0; b < net.cell_count(); ++b)
-        es.used_bu += net.station(b).load().used;
-    }
-    if (metrics_on) {
-      EngineMetrics& m = EngineMetrics::get();
-      m.epochs.add(1);
-      m.routed.add(es.delivered);
-      m.left_world.add(es.left_world);
-      m.admitted.add(es.admitted);
-      m.dropped.add(es.dropped);
-      m.sessions_resident.set(
-          static_cast<std::int64_t>(es.active_sessions));
-    }
-    if (observer_) observer_(es);
+  // Network-wide totals: only this barrier's drained shards and admission
+  // destinations can have changed, so only they are re-read.  A shard's
+  // first reading follows its begin(), which admits nothing, so the zeros a
+  // Shard starts with were right until then.
+  for (const int k : drain_) refresh_totals(shard(k));
+  for (const int k : touched_) refresh_totals(shard(k));
+  es.active_sessions = sessions_total_;
+  es.used_bu = used_total_;
+
+  if (obs::metrics_enabled()) {
+    EngineMetrics& m = EngineMetrics::get();
+    m.epochs.add(1);
+    m.routed.add(es.delivered);
+    m.left_world.add(es.left_world);
+    m.admitted.add(es.admitted);
+    m.dropped.add(es.dropped);
+    m.sessions_resident.set(static_cast<std::int64_t>(es.active_sessions));
   }
+  if (observer_) observer_(es);
+}
+
+void MultiCellEngine::refresh_totals(Shard& sh) {
+  const SessionDriver& drv = *sh.driver;
+  const std::size_t sessions = drv.session_count();
+  double used = 0.0;
+  const cellular::CellularNetwork& net = drv.network();
+  for (std::size_t b = 0; b < net.cell_count(); ++b)
+    used += net.station(b).load().used;
+  sessions_total_ = sessions_total_ - sh.sessions + sessions;
+  // Every bandwidth is a whole 1, 5 or 10 BU, so these doubles are exact
+  // integers: the running total equals an all-shards sum in any order, bit
+  // for bit.
+  used_total_ += used - sh.used_bu;
+  sh.sessions = sessions;
+  sh.used_bu = used;
 }
 
 void MultiCellEngine::activate(int cell) {
@@ -324,7 +370,7 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
   drain_.reserve(shards_.size());
   touched_.reserve(shards_.size());
   for (const int k : built_)
-    if (!shards_[static_cast<std::size_t>(k)].driver->idle()) activate(k);
+    if (!shard(k).driver->idle()) activate(k);
 
   // Never spawn more workers than there are shards to drain: run_single
   // builds an engine per replication, so surplus threads would be pure
@@ -351,9 +397,7 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
     if (!force_full_drains_) {
       sim::SimTime t_next = std::numeric_limits<sim::SimTime>::infinity();
       for (const int k : active_)
-        t_next = std::min(
-            t_next, shards_[static_cast<std::size_t>(k)].driver
-                        ->next_event_time());
+        t_next = std::min(t_next, shard(k).driver->next_event_time());
       // Fast-forward over provably empty epochs, boundary by boundary: the
       // repeated `t + dt` additions retrace exactly the float sequence the
       // bulk-synchronous engine would have produced, so later boundaries —
@@ -382,9 +426,7 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
         drain_.push_back(static_cast<int>(k));
     } else {
       for (const int k : active_)
-        if (shards_[static_cast<std::size_t>(k)].driver->next_event_time() <=
-            t_end)
-          drain_.push_back(k);
+        if (shard(k).driver->next_event_time() <= t_end) drain_.push_back(k);
       std::sort(drain_.begin(), drain_.end());
     }
 
@@ -414,7 +456,7 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
             drain_hist != nullptr
                 ? shard_hist[static_cast<std::size_t>(k)]
                 : nullptr);
-        shards_[static_cast<std::size_t>(k)].driver->advance_until(t_end);
+        shard(k).driver->advance_until(t_end);
       });
       // Serial barrier: routing + batched admission in fixed order.
       obs::ScopedSpan barrier("engine", "barrier", obs::Tracer::kNoArg,
@@ -428,9 +470,9 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
     // only future work is an inbound admission it just received is
     // deactivated then immediately re-activated via touched_.
     for (const int k : drain_)
-      if (shards_[static_cast<std::size_t>(k)].driver->idle()) deactivate(k);
+      if (shard(k).driver->idle()) deactivate(k);
     for (const int k : touched_)
-      if (!shards_[static_cast<std::size_t>(k)].driver->idle()) activate(k);
+      if (!shard(k).driver->idle()) activate(k);
 
     if (adaptive) {
       // Deterministic controller on the serial barrier's handover count:
@@ -444,23 +486,30 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
   }
 
   FACSP_TRACE_SPAN("engine", "reduce");
+  // Every cell starts as the idle cell; only built shards are read and
+  // merged, in ascending order.  An unbuilt shard would add integer zeros
+  // and a +0.0 utilization, which change no bit of the sums; its duration
+  // floor still enters the max.
   MultiCellResult out;
-  out.cells.reserve(shards_.size());
+  MultiCellResult::Cell idle;
+  idle.run = SessionDriver::idle_result();
+  out.cells.assign(shards_.size(), idle);
+  for (std::size_t k = 0; k < shards_.size(); ++k)
+    out.cells[k].coord = coords_[k];
   RunResult agg;
+  if (built_.size() < shards_.size()) agg.duration_s = idle.run.duration_s;
   double util_sum = 0.0;
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    MultiCellResult::Cell c;
-    c.coord = coords_[k];
-    c.run = shards_[k].driver != nullptr ? shards_[k].driver->result()
-                                         : SessionDriver::idle_result();
-    c.handoffs_out = shards_[k].handoffs_out;
-    c.handoffs_in = shards_[k].handoffs_in;
-    c.left_world = shards_[k].left_world;
+  for (const int k : built_) {
+    const Shard& sh = shard(k);
+    MultiCellResult::Cell& c = out.cells[static_cast<std::size_t>(k)];
+    c.run = sh.driver->result();
+    c.handoffs_out = sh.handoffs_out;
+    c.handoffs_in = sh.handoffs_in;
+    c.left_world = sh.left_world;
     agg.metrics.merge(c.run.metrics);
     agg.duration_s = std::max(agg.duration_s, c.run.duration_s);
     agg.events += c.run.events;
     util_sum += c.run.center_utilization;
-    out.cells.push_back(std::move(c));
   }
   agg.center_utilization = util_sum / static_cast<double>(shards_.size());
   out.aggregate = std::move(agg);

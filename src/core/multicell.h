@@ -39,12 +39,21 @@
 // observed per-epoch handover count within [sim.epoch_min_s,
 // sim.epoch_max_s]; conservation invariants hold but byte goldens don't.
 //
-// Construction cost follows activity too: a shard's driver and policy are
-// built only when it first has work — at run() for the generating cells,
-// at the barrier that first delivers a handover to it otherwise
-// (engine.shards_built).  A build touches only the shard's own state,
-// seeded from its cell id, so build order cannot change a result; a shard
-// never built reports SessionDriver::idle_result().
+// Construction cost follows activity too: the constructor lays out the
+// spiral's coordinates and empty shard slots and nothing else per cell — a
+// neighbour's index is the closed-form inverse of the spiral walk, so
+// there is no grid hash.  A shard's driver and policy are built only when
+// it first has work — at run() for the generating cells, at the barrier
+// that first delivers a handover to it otherwise (engine.shards_built).  A
+// build touches only the shard's own state, seeded from its cell id, so
+// build order cannot change a result; a shard never built reports
+// SessionDriver::idle_result().
+//
+// The barrier epilogue re-reads only the shards it drained or delivered to
+// and moves running network-wide totals by their change, and the reduce
+// merges only built shards into a per-cell table pre-filled with the idle
+// cell.  So a barrier costs O(shards touched) and a replication
+// O(built shards) beyond that one table fill, observer attached or not.
 //
 // Determinism: the parallel phase is share-nothing (each shard owns its
 // driver, policy state, scratch and RNG streams — policies may share
@@ -62,7 +71,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cac/policy.h"
@@ -151,7 +159,7 @@ class MultiCellEngine {
  private:
   struct Shard {
     std::unique_ptr<cac::DeferredPolicy> policy;
-    std::unique_ptr<SessionDriver> driver;  ///< null until built
+    std::unique_ptr<SessionDriver> driver;
     std::vector<SessionDriver::CellDeparture> outbox;  ///< filled during drain
     std::vector<SessionDriver::CellArrival> inbox;     ///< filled at barrier
     // Reused across epochs: steady-state barriers allocate nothing.
@@ -160,10 +168,21 @@ class MultiCellEngine {
     std::uint64_t handoffs_out = 0;
     std::uint64_t handoffs_in = 0;
     std::uint64_t left_world = 0;
+    // This shard's share of the running network-wide totals, as last read.
+    std::size_t sessions = 0;
+    double used_bu = 0.0;
   };
 
+  /// Built shard `cell`.
+  Shard& shard(int cell) const {
+    return *shards_[static_cast<std::size_t>(cell)];
+  }
   /// Build shard `cell` and begin it with `n_requests` fresh calls.
   void build(int cell, int n_requests);
+
+  /// Re-read a shard's session count and occupied bandwidth and move the
+  /// running totals by the difference.
+  void refresh_totals(Shard& sh);
 
   cellular::MobileState entry_state(
       const SessionDriver::CellDeparture& dep) const;
@@ -179,15 +198,16 @@ class MultiCellEngine {
   PolicyFactory factory_;
   std::uint64_t replication_;
   std::vector<cellular::HexCoord> coords_;
-  std::unordered_map<cellular::HexCoord, int, cellular::HexCoordHash> index_;
   cellular::HexCoord dir_[6] = {};  ///< the six hex neighbour offsets
   double dir_angle_[6] = {};  ///< world angle of each hex neighbour direction
-  std::vector<Shard> shards_;     ///< sized once: Shard addresses are stable
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< null until built
   std::vector<int> built_;       ///< cells with a driver (ascending)
   std::vector<int> active_;      ///< cells with pending events (unordered)
   std::vector<int> active_pos_;  ///< cell -> index in active_, or -1
   std::vector<int> drain_;       ///< this epoch's drain list (ascending)
   std::vector<int> touched_;     ///< cells that received inbound handovers
+  std::uint64_t sessions_total_ = 0;  ///< sum of every Shard::sessions
+  double used_total_ = 0.0;           ///< sum of every Shard::used_bu
   EpochStats stats_;  ///< reused across barriers: steady state allocates
                       ///< nothing even with an observer attached
   EpochObserver observer_;

@@ -34,23 +34,16 @@ SessionDriver::SessionDriver(const ScenarioConfig& scenario,
   // reshaping the spatial map never perturbs another cell's workload.
   constexpr cellular::ConnectionId kIdStride = 1u << 24;
   const workload::SpatialLoadMap spatial(scenario_.spatial);
-  traffic_.push_back({std::make_unique<cellular::TrafficGenerator>(
-                          scenario_.traffic, network_->layout(),
-                          cellular::HexCoord{0, 0},
-                          network_->center().position(),
-                          rng_.stream("traffic", 0), 1 + id_offset),
+  traffic_.push_back({cellular::HexCoord{0, 0}, network_->center().position(),
+                      0, 1 + id_offset,
                       spatial.weight(cellular::HexCoord{0, 0},
                                      network_->center().position())});
   for (cellular::BaseStation* bs : network_->stations()) {
     if (bs->coord() == cellular::HexCoord{0, 0}) continue;
     const double w = spatial.weight(bs->coord(), bs->position());
     if (w <= 0.0) continue;
-    traffic_.push_back({std::make_unique<cellular::TrafficGenerator>(
-                            scenario_.traffic, network_->layout(),
-                            bs->coord(), bs->position(),
-                            rng_.stream("traffic", bs->id() + 1),
-                            kIdStride * (bs->id() + 1) + id_offset),
-                        w});
+    traffic_.push_back({bs->coord(), bs->position(), bs->id() + 1,
+                        kIdStride * (bs->id() + 1) + id_offset, w});
   }
   mobility_ = std::make_unique<cellular::MobilityModel>(
       scenario_.mobility, rng_.stream("mobility"));
@@ -234,13 +227,22 @@ void SessionDriver::begin(int n_requests) {
   network_->start_metrics(0.0);
 
   // Element 0 is the centre's generator: its calls are the measured ones.
+  // A spawner offering no calls builds no generator: its stream and id
+  // range are its own, so skipping it changes no other spawner's draws.
   for (std::size_t g = 0; g < traffic_.size(); ++g) {
-    const int count = workload::SpatialLoadMap::scaled_requests(
-        traffic_[g].weight, n_requests);
-    for (const auto& call : traffic_[g].gen->generate(count)) {
-      schedule(call.arrival_time, Event{arrivals_.size(), 0,
-                                        EventKind::kArrival});
-      arrivals_.push_back(call);
+    const Spawner& sp = traffic_[g];
+    const int count =
+        workload::SpatialLoadMap::scaled_requests(sp.weight, n_requests);
+    if (count > 0) {
+      cellular::TrafficGenerator gen(scenario_.traffic, network_->layout(),
+                                     sp.coord, sp.position,
+                                     rng_.stream("traffic", sp.stream),
+                                     sp.first_id);
+      for (const auto& call : gen.generate(count)) {
+        schedule(call.arrival_time, Event{arrivals_.size(), 0,
+                                          EventKind::kArrival});
+        arrivals_.push_back(call);
+      }
     }
     if (g == 0) measured_arrivals_ = arrivals_.size();
   }

@@ -175,10 +175,15 @@ class SessionDriver {
                                      cellular::RequestKind kind,
                                      const cellular::BaseStation& target);
 
-  /// One request source per spawning cell: the cell's generator plus its
-  /// spatial load weight (requests per run = round(weight * N)).
+  /// One request source per spawning cell: where its requests spawn, its
+  /// private "traffic" stream and id range, and its spatial load weight
+  /// (requests per run = round(weight * N)).  begin() builds the cell's
+  /// generator only when that count is positive.
   struct Spawner {
-    std::unique_ptr<cellular::TrafficGenerator> gen;
+    cellular::HexCoord coord;
+    cellular::Point position;
+    std::uint64_t stream = 0;  ///< index of its "traffic" stream
+    cellular::ConnectionId first_id = 1;
     double weight = 1.0;
   };
 

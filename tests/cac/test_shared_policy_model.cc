@@ -1,7 +1,8 @@
 // The shared policy model: FACS-P's FLC1/FLC2 are fixed rule bases, so the
 // FACS-P and FACS-PR factories build one immutable controller pair when the
 // factory is created and every policy they return shares it.  Only the
-// RTC/NRTC counters and the inference scratch are per policy.
+// RTC/NRTC counters and the inference scratch are per policy.  The FACS
+// factory shares its FLC2 the same way, and one FLC1-D per cell radius.
 //
 //   * policies from one factory hold the same flc1()/flc2() objects;
 //   * a sharing policy decides exactly like a standalone one built with its
@@ -14,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "cac/facs.h"
 #include "cac/facs_p.h"
 #include "cac/facs_pr.h"
 #include "cellular/basestation.h"
@@ -117,6 +119,54 @@ TEST(SharedPolicyModel, PoliciesFromOneFactoryShareOneControllerPair) {
       make(core::make_facs_p_factory());
   EXPECT_NE(&facs_p_of(*shared).flc1(), &standalone.flc1());
   EXPECT_NE(&facs_p_of(*shared).flc1(), &facs_p_of(*other).flc1());
+}
+
+TEST(SharedPolicyModel, FacsFactorySharesFlc2AndOneFlc1PerCellRadius) {
+  const core::PolicyFactory factory = core::make_facs_factory();
+  const auto facs_of = [](const AdmissionPolicy& policy) -> const FacsPolicy& {
+    return dynamic_cast<const FacsPolicy&>(policy);
+  };
+  const std::unique_ptr<AdmissionPolicy> a = make(factory);
+  const std::unique_ptr<AdmissionPolicy> b = make(factory);
+  EXPECT_EQ(&facs_of(*a).flc1(), &facs_of(*b).flc1());
+  EXPECT_EQ(&facs_of(*a).flc2(), &facs_of(*b).flc2());
+  EXPECT_EQ(facs_of(*a).config().flc1.cell_radius_m, 2000.0);
+
+  // Another cell radius gets its own FLC1-D and the same FLC2.
+  const cellular::CellularNetwork wide(1, 3000.0, 40.0);
+  sim::RngFactory rng(kSeed);
+  const std::unique_ptr<AdmissionPolicy> c = factory(wide, rng);
+  EXPECT_NE(&facs_of(*c).flc1(), &facs_of(*a).flc1());
+  EXPECT_EQ(&facs_of(*c).flc2(), &facs_of(*a).flc2());
+  EXPECT_EQ(facs_of(*c).config().flc1.cell_radius_m, 3000.0);
+
+  // Concurrent factory calls, as sweep workers make them, on both radii:
+  // every policy of one radius still holds that radius's FLC1-D.
+  constexpr int kTasks = 32;
+  std::vector<std::unique_ptr<AdmissionPolicy>> built(kTasks);
+  sim::ThreadPool pool(4);
+  pool.parallel_for(kTasks, [&](std::size_t t) {
+    sim::RngFactory task_rng(kSeed);
+    built[t] = factory(t % 2 == 0 ? test_network() : wide, task_rng);
+  });
+  for (std::size_t t = 0; t < built.size(); ++t) {
+    const FacsPolicy& p = facs_of(*built[t]);
+    EXPECT_EQ(&p.flc1(), &facs_of(t % 2 == 0 ? *a : *c).flc1()) << t;
+    EXPECT_EQ(&p.flc2(), &facs_of(*a).flc2()) << t;
+  }
+
+  // A sharing policy decides like a standalone one of the same radius.
+  FacsConfig config;
+  config.flc1.cell_radius_m = 2000.0;
+  FacsPolicy standalone(config);
+  EXPECT_NE(&standalone.flc1(), &facs_of(*a).flc1());
+  for (int batch = 0; batch < 30; ++batch) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    const BatchDecisions want = decide_fuzzed_batch(standalone, batch);
+    const BatchDecisions got = decide_fuzzed_batch(*a, batch);
+    expect_same_decisions(want.single, got.single);
+    expect_same_decisions(want.batched, got.batched);
+  }
 }
 
 TEST(SharedPolicyModel, SharingPoliciesDecideLikeStandalonePolicies) {

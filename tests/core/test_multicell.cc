@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cac/policy.h"
@@ -172,6 +173,39 @@ TEST(MultiCellEngine, RouteTargetPicksHexNeighboursOrTheEdge) {
   }
 }
 
+TEST(MultiCellEngine, RouteTargetMatchesTheSpiralLayoutOnALargeGrid) {
+  // 330 cells: rings 0..9 complete, ring 10 partial.  Cells are numbered
+  // along hex_ring's walk, ring by ring, and every neighbour lookup agrees
+  // with a search of that numbering.
+  ScenarioConfig s = storm_scenario();
+  s.multicell.cells = 330;
+  MultiCellEngine engine(s, make_facs_p_factory(), 0);
+  ASSERT_EQ(engine.cell_count(), 330);
+  std::vector<cellular::HexCoord> spiral;
+  for (int radius = 0; spiral.size() < 330u; ++radius)
+    for (const cellular::HexCoord& c :
+         cellular::hex_ring(cellular::HexCoord{0, 0}, radius))
+      spiral.push_back(c);
+  spiral.resize(330);
+  for (int k = 0; k < 330; ++k)
+    ASSERT_EQ(engine.cell_coord(k), spiral[static_cast<std::size_t>(k)]) << k;
+
+  const cellular::HexLayout unit(1.0);
+  const auto dirs = cellular::hex_neighbors(cellular::HexCoord{0, 0});
+  for (int k = 0; k < 330; ++k)
+    for (const cellular::HexCoord& d : dirs) {
+      const cellular::HexCoord from = engine.cell_coord(k);
+      const cellular::HexCoord to{from.q + d.q, from.r + d.r};
+      const auto it = std::find(spiral.begin(), spiral.end(), to);
+      const int want =
+          it == spiral.end() ? -1 : static_cast<int>(it - spiral.begin());
+      const double heading = cellular::heading_deg(
+          unit.center(cellular::HexCoord{0, 0}), unit.center(d));
+      ASSERT_EQ(engine.route_target(k, heading), want)
+          << "cell " << k << " direction (" << d.q << ", " << d.r << ")";
+    }
+}
+
 // --- conservation properties ----------------------------------------------
 
 /// Conservation at every barrier and over the run.  Unbuilt shards hold
@@ -215,7 +249,8 @@ void expect_handover_conservation(const ScenarioConfig& scen) {
       }
     }
     ASSERT_EQ(session_sum, es.active_sessions);
-    ASSERT_NEAR(used_sum, es.used_bu, 1e-9);
+    // Whole-BU bandwidths make the engine's running total exact.
+    ASSERT_EQ(used_sum, es.used_bu);
   });
 
   const MultiCellResult result = engine.run(100);

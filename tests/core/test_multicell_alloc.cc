@@ -10,6 +10,10 @@
 //   * an epoch observer costs only one-time buffer growth: EpochStats and
 //     its routes persist across barriers, so an observed handover-storm run
 //     allocates at most 64 more times than an identical unobserved one;
+//   * a sparse replication's allocations follow the shards it builds and
+//     the calls it admits, not the grid: one centre-generating replication
+//     on 3,000 and on 6,000 cells builds the same shards and allocates the
+//     same to within a fixed constant;
 //   * decide_batch through make_facs_p_factory(), on the inter-cell handoff
 //     batches the drain loop presents, allocates nothing once warm with
 //     metrics and tracing on — and the tracer proves the spans were
@@ -81,6 +85,64 @@ TEST(MultiCellAlloc, EpochObserverAddsOnlyOneTimeBufferGrowth) {
   EXPECT_LE(observed, plain + 64)
       << "observed run made " << observed << " allocations, plain run "
       << plain;
+}
+
+/// One warm replication of the handover storm on a `cells`-cell grid where
+/// only the centre offers calls, from engine construction to its result.
+struct SparseReplication {
+  std::size_t allocations = 0;
+  std::size_t shards_built = 0;
+  std::uint64_t admissions = 0;  ///< admitted new calls and handovers
+};
+
+SparseReplication sparse_replication(int cells) {
+  ScenarioConfig scen = workload::catalog_scenario("multicell-handover-storm");
+  scen.multicell.cells = cells;
+  scen.multicell.workload_cells = 1;
+  const PolicyFactory factory = make_facs_p_factory();
+  const auto once = [&] {
+    SparseReplication out;
+    const std::size_t before = allocations();
+    MultiCellEngine engine(scen, factory, 0);
+    const MultiCellResult result = engine.run(60);
+    out.allocations = allocations() - before;
+    for (int k = 0; k < engine.cell_count(); ++k)
+      out.shards_built += engine.built(k) ? 1 : 0;
+    out.admissions = result.aggregate.metrics.accepted_new() +
+                     result.aggregate.metrics.handoff_successes();
+    return out;
+  };
+  once();  // warm catalog/config one-time state
+  return once();
+}
+
+TEST(MultiCellAlloc, SparseReplicationAllocatesPerBuiltShardNotPerCell) {
+  const SparseReplication small = sparse_replication(3000);
+  const SparseReplication large = sparse_replication(6000);
+  // The handovers never reach either grid's rim, so both build the same
+  // shards and admit the same calls...
+  ASSERT_EQ(small.shards_built, large.shards_built);
+  ASSERT_EQ(small.admissions, large.admissions);
+  ASSERT_LT(small.shards_built, 3000u / 10);
+  // ...and 3,000 more cells cost at most a few allocations' size classes,
+  // not one per cell.
+  constexpr std::size_t kGridSlack = 8;
+  const std::size_t diff = large.allocations > small.allocations
+                               ? large.allocations - small.allocations
+                               : small.allocations - large.allocations;
+  EXPECT_LE(diff, kGridSlack) << small.allocations << " allocations on 3000 "
+                              << "cells, " << large.allocations << " on 6000";
+  // A built shard: about 15 allocations for its slot, driver, network,
+  // streams and policy, and about 20 for the first growth of its containers
+  // (event heap, per-call maps, inbox and batch buffers).  An admitted
+  // call: its three map nodes (session, held channel, FACS-P counter entry).
+  constexpr std::size_t kPerShard = 36;
+  constexpr std::size_t kPerAdmission = 3;
+  constexpr std::size_t kFixed = 64;
+  EXPECT_LE(large.allocations, kPerShard * large.shards_built +
+                                   kPerAdmission * large.admissions + kFixed)
+      << large.allocations << " allocations for " << large.shards_built
+      << " shards built and " << large.admissions << " admissions";
 }
 
 /// Inter-cell handoff batch: the request mix the engine's drain loop
