@@ -104,5 +104,27 @@ TEST(WorkloadGolden, SccPaperScenarioBitIdentical) {
                 {60, 2, 78.333333333333329, 0, 17.096730836569897, 100}});
 }
 
+// FACS-P's priority weights inflate inbound handover load by
+// handoff_bonus: the storm's cross-shard admissions (admit_inbound) are the
+// path these cells pin.  FACS-PR re-thresholds FACS-P and forwards its
+// lifecycle hooks.  Captured from commit 3284254.
+TEST(WorkloadGolden, FacsPHandoverStormSevenCellsBitIdentical) {
+  const ScenarioConfig storm =
+      workload::catalog_scenario("multicell-handover-storm");
+  ASSERT_EQ(storm.multicell.cells, 7);
+  expect_cells(storm, make_facs_p_factory(), "FACS-P storm",
+               {{100, 0, 41.285714285714285, 0, 25.909863129090365, 100},
+                {100, 1, 42.428571428571423, 0, 25.711343084227099, 100},
+                {100, 2, 44.285714285714285, 0.98039215686274161,
+                 24.006581571777158, 99.354838709677423}});
+}
+
+TEST(WorkloadGolden, FacsPrPaperScenarioBitIdentical) {
+  expect_cells(paper_scenario(), make_facs_pr_factory(), "FACS-PR",
+               {{60, 0, 88.333333333333329, 0, 10.718982510053237, 100},
+                {60, 1, 86.666666666666671, 0, 17.031551187870367, 100},
+                {60, 2, 60, 0, 22.836214190006164, 100}});
+}
+
 }  // namespace
 }  // namespace facsp::core
