@@ -14,55 +14,22 @@ DifferentiatedCounters::DifferentiatedCounters(PriorityWeights weights)
         "protected load)");
 }
 
-void DifferentiatedCounters::add(cellular::ConnectionId id,
-                                 cellular::ServiceClass service,
-                                 cellular::Bandwidth bw, bool via_handoff) {
-  FACSP_EXPECTS(bw > 0.0);
-  FACSP_EXPECTS_MSG(!entries_.contains(id),
-                    "connection " << id << " already counted");
-  const bool rt = cellular::is_real_time(service);
-  entries_.emplace(id, Entry{bw, rt, via_handoff});
-  if (rt) {
-    rt_bw_ += bw;
-    ++rt_n_;
-  } else {
-    nrt_bw_ += bw;
-    ++nrt_n_;
-  }
-  double w = rt ? weights_.real_time : weights_.non_real_time;
-  if (via_handoff) w *= weights_.handoff_bonus;
-  weighted_ += w * bw;
+double DifferentiatedCounters::weight(
+    const cellular::Holding& h) const noexcept {
+  double w = h.real_time ? weights_.real_time : weights_.non_real_time;
+  if (h.via_handoff) w *= weights_.handoff_bonus;
+  return w;
 }
 
-void DifferentiatedCounters::remove(cellular::ConnectionId id) {
-  const auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  const Entry e = it->second;
-  entries_.erase(it);
-  if (e.real_time) {
-    rt_bw_ -= e.bw;
-    --rt_n_;
-  } else {
-    nrt_bw_ -= e.bw;
-    --nrt_n_;
-  }
-  double w = e.real_time ? weights_.real_time : weights_.non_real_time;
-  if (e.via_handoff) w *= weights_.handoff_bonus;
-  weighted_ -= w * e.bw;
-  if (rt_bw_ < 1e-9) rt_bw_ = 0.0;
-  if (nrt_bw_ < 1e-9) nrt_bw_ = 0.0;
+void DifferentiatedCounters::add(const cellular::Holding& h) {
+  FACSP_EXPECTS(h.bw > 0.0);
+  weighted_ += weight(h) * h.bw;
+}
+
+void DifferentiatedCounters::remove(const cellular::Holding& h) {
+  weighted_ -= weight(h) * h.bw;
+  // Guard against floating-point drift pushing the sum below zero.
   if (weighted_ < 1e-9) weighted_ = 0.0;
-}
-
-cellular::Bandwidth DifferentiatedCounters::effective_occupancy()
-    const noexcept {
-  return weighted_;
-}
-
-void DifferentiatedCounters::clear() {
-  entries_.clear();
-  rt_bw_ = nrt_bw_ = weighted_ = 0.0;
-  rt_n_ = nrt_n_ = 0;
 }
 
 }  // namespace facsp::cac

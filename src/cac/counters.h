@@ -1,19 +1,17 @@
-// Differentiated-service counters (paper Fig. 4: RTC / NRTC).
+// Priority-weighted occupancy (paper Fig. 4: RTC / NRTC -> Counter state).
 //
-// FACS-P tracks on-going connections in two counters — the Real Time Counter
-// (voice+video) and the Non Real Time Counter (text) — and derives the
-// Counter state (Cs) fed to FLC2 from them, weighting real-time and
-// handoff-continuing load by priority factors >= 1.  That weighting is the
-// paper's "priority of on-going connections": as protected load accumulates,
-// the effective Cs saturates earlier and the controller turns conservative
-// before the cell is physically full.
+// The paper's differentiated-service counters — the Real Time Counter
+// (voice+video) and the Non Real Time Counter (text) — are the base
+// station's LoadState (cellular/basestation.h); the station is the one
+// ledger of on-going calls.  FACS-P keeps only the Counter state (Cs) fed to
+// FLC2: the occupancy with real-time and handoff-continuing load weighted by
+// priority factors >= 1.  That weighting is the paper's "priority of
+// on-going connections": as protected load accumulates, the effective Cs
+// saturates earlier and the controller turns conservative before the cell is
+// physically full.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
-
-#include "cellular/connection.h"
-#include "cellular/service.h"
+#include "cellular/basestation.h"
 
 namespace facsp::cac {
 
@@ -28,50 +26,33 @@ struct PriorityWeights {
   double handoff_bonus = 1.2;
 };
 
-/// RTC/NRTC ledger for one base station.
+/// One base station's priority-weighted occupancy.  Fed with the same
+/// Holding the station allocated and later released, so a remove undoes
+/// exactly the add it pairs with.
 class DifferentiatedCounters {
  public:
+  /// Throws facsp::ConfigError for a weight below 1.
   explicit DifferentiatedCounters(PriorityWeights weights = {});
 
-  /// Register an admitted connection.
-  void add(cellular::ConnectionId id, cellular::ServiceClass service,
-           cellular::Bandwidth bw, bool via_handoff);
+  /// An admitted connection now holds `h` on the station.
+  void add(const cellular::Holding& h);
 
-  /// Remove a connection (release/handoff-out/completion).  Unknown ids are
-  /// ignored (the connection may predate a reset()).
-  void remove(cellular::ConnectionId id);
-
-  /// Raw counters.
-  cellular::Bandwidth rt_bandwidth() const noexcept { return rt_bw_; }
-  cellular::Bandwidth nrt_bandwidth() const noexcept { return nrt_bw_; }
-  std::uint32_t rt_count() const noexcept { return rt_n_; }
-  std::uint32_t nrt_count() const noexcept { return nrt_n_; }
-  cellular::Bandwidth total_bandwidth() const noexcept {
-    return rt_bw_ + nrt_bw_;
-  }
+  /// The station released `h` (completion, drop or handoff-out).
+  void remove(const cellular::Holding& h);
 
   /// Priority-weighted occupancy: the effective "Counter state" FLC2 sees.
-  /// Always >= total_bandwidth() when weights >= 1.
-  cellular::Bandwidth effective_occupancy() const noexcept;
+  /// At least the station's used bandwidth when weights >= 1.
+  cellular::Bandwidth effective_occupancy() const noexcept {
+    return weighted_;
+  }
 
   const PriorityWeights& weights() const noexcept { return weights_; }
 
-  void clear();
-
  private:
-  struct Entry {
-    cellular::Bandwidth bw;
-    bool real_time;
-    bool via_handoff;
-  };
+  double weight(const cellular::Holding& h) const noexcept;
 
   PriorityWeights weights_;
-  std::unordered_map<cellular::ConnectionId, Entry> entries_;
-  cellular::Bandwidth rt_bw_ = 0.0;
-  cellular::Bandwidth nrt_bw_ = 0.0;
   cellular::Bandwidth weighted_ = 0.0;
-  std::uint32_t rt_n_ = 0;
-  std::uint32_t nrt_n_ = 0;
 };
 
 }  // namespace facsp::cac

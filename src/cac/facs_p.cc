@@ -53,14 +53,17 @@ double FacsPPolicy::counter_state(const AdmissionRequest& /*req*/,
 
 void FacsPPolicy::on_admitted(const AdmissionRequest& req,
                               const cellular::BaseStation& bs) {
-  counters_mut(bs.id()).add(req.id, req.service, req.bandwidth,
-                            req.kind == cellular::RequestKind::kHandoff);
+  // The same values every caller passes to BaseStation::allocate, so the
+  // Holding the station later releases undoes exactly this add.
+  counters_mut(bs.id()).add({req.bandwidth,
+                             cellular::is_real_time(req.service),
+                             req.kind == cellular::RequestKind::kHandoff});
 }
 
-void FacsPPolicy::on_released(cellular::ConnectionId id,
-                              cellular::ServiceClass /*service*/,
+void FacsPPolicy::on_released(cellular::ConnectionId /*id*/,
+                              const cellular::Holding& released,
                               const cellular::BaseStation& bs) {
-  counters_mut(bs.id()).remove(id);
+  counters_mut(bs.id()).remove(released);
 }
 
 void FacsPPolicy::reset() {

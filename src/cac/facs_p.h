@@ -5,11 +5,12 @@
 //   User (Sp, An, Sr) -> FLC1 -> Cv
 //   (Cv, Rq, Cs)      -> FLC2 -> Accept/Reject
 // with the admitted calls feeding the differentiated-service counters RTC
-// (voice+video) and NRTC (text).  The Counter state Cs presented to FLC2 is
-// the *priority-weighted* occupancy from those counters: real-time and
-// handoff-continuing on-going load is inflated by weights >= 1, so the
-// controller saturates earlier and protects the QoS of on-going calls —
-// producing Fig. 10's crossover against plain FACS.
+// (voice+video) and NRTC (text), which are the base station's LoadState.
+// The Counter state Cs presented to FLC2 is the *priority-weighted*
+// occupancy of those calls — the one number per station FACS-P keeps:
+// real-time and handoff-continuing on-going load is inflated by weights
+// >= 1, so the controller saturates earlier and protects the QoS of
+// on-going calls — producing Fig. 10's crossover against plain FACS.
 #pragma once
 
 #include <memory>
@@ -44,7 +45,7 @@ struct FacsPControllers {
 };
 FacsPControllers make_facs_p_controllers(const FacsPConfig& config);
 
-/// The proposed policy.  Maintains one RTC/NRTC counter pair per base
+/// The proposed policy.  Maintains one priority-weighted occupancy per base
 /// station, updated through the on_admitted / on_released notifications
 /// (paper Fig. 4: the A/R output feeds the counters).
 class FacsPPolicy final : public FuzzyCacBase {
@@ -58,13 +59,15 @@ class FacsPPolicy final : public FuzzyCacBase {
 
   void on_admitted(const AdmissionRequest& req,
                    const cellular::BaseStation& bs) override;
-  void on_released(cellular::ConnectionId id, cellular::ServiceClass service,
+  void on_released(cellular::ConnectionId id,
+                   const cellular::Holding& released,
                    const cellular::BaseStation& bs) override;
   void reset() override;
 
   const FacsPConfig& config() const noexcept { return config_; }
 
-  /// Counters of one base station (created on first use; exposed for tests).
+  /// Weighted occupancy of one base station (created on first use; exposed
+  /// for tests).
   const DifferentiatedCounters& counters(cellular::BaseStationId bs) const;
 
  protected:
@@ -77,7 +80,7 @@ class FacsPPolicy final : public FuzzyCacBase {
 
   FacsPConfig config_;
   /// Lazily populated; mutable so the const counter_state() can create an
-  /// empty ledger for a BS it has never seen.
+  /// empty occupancy for a BS it has never seen.
   mutable std::unordered_map<cellular::BaseStationId, DifferentiatedCounters>
       counters_;
   /// Last-BS memo: admission decisions hit the same cell repeatedly, so the

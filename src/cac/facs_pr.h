@@ -45,9 +45,10 @@ class FacsPrPolicy final : public AdmissionPolicy {
                    const cellular::BaseStation& bs) override {
     inner_.on_admitted(req, bs);
   }
-  void on_released(cellular::ConnectionId id, cellular::ServiceClass service,
+  void on_released(cellular::ConnectionId id,
+                   const cellular::Holding& released,
                    const cellular::BaseStation& bs) override {
-    inner_.on_released(id, service, bs);
+    inner_.on_released(id, released, bs);
   }
   void on_mobility(cellular::ConnectionId id,
                    const cellular::MobileState& state,

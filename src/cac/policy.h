@@ -100,12 +100,14 @@ class AdmissionPolicy {
   }
 
   /// The connection released its bandwidth on `bs` (completion, drop after
-  /// allocation, or the source side of a handoff).
+  /// allocation, or the source side of a handoff).  `released` is what
+  /// BaseStation::release returned: exactly what the matching allocation
+  /// added, so a policy needs no per-call record of its own to undo it.
   virtual void on_released(cellular::ConnectionId id,
-                           cellular::ServiceClass service,
+                           const cellular::Holding& released,
                            const cellular::BaseStation& bs) {
     (void)id;
-    (void)service;
+    (void)released;
     (void)bs;
   }
 
@@ -158,10 +160,11 @@ class DeferredPolicy final : public AdmissionPolicy {
     FACSP_EXPECTS(inner != nullptr);
     inner->on_admitted(req, bs);
   }
-  void on_released(cellular::ConnectionId id, cellular::ServiceClass service,
+  void on_released(cellular::ConnectionId id,
+                   const cellular::Holding& released,
                    const cellular::BaseStation& bs) override {
     FACSP_EXPECTS(inner != nullptr);
-    inner->on_released(id, service, bs);
+    inner->on_released(id, released, bs);
   }
   void on_mobility(cellular::ConnectionId id,
                    const cellular::MobileState& state,

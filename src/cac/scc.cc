@@ -350,7 +350,7 @@ void SccPolicy::on_admitted(const AdmissionRequest& req,
 }
 
 void SccPolicy::on_released(cellular::ConnectionId id,
-                            cellular::ServiceClass /*service*/,
+                            const cellular::Holding& /*released*/,
                             const cellular::BaseStation& /*bs*/) {
   // A handoff releases on the source BS and re-admits on the target; the
   // re-admission path goes through decide()/on_admitted() which refreshes

@@ -91,7 +91,8 @@ class SccPolicy final : public AdmissionPolicy {
 
   void on_admitted(const AdmissionRequest& req,
                    const cellular::BaseStation& bs) override;
-  void on_released(cellular::ConnectionId id, cellular::ServiceClass service,
+  void on_released(cellular::ConnectionId id,
+                   const cellular::Holding& released,
                    const cellular::BaseStation& bs) override;
   void on_mobility(cellular::ConnectionId id,
                    const cellular::MobileState& state,

@@ -27,7 +27,7 @@ bool BaseStation::allocate(const Connection& conn, sim::SimTime now,
                                   << id_);
   if (!can_fit(conn.bandwidth)) return false;
   held_.emplace(conn.id,
-                Held{conn.bandwidth, conn.real_time(), via_handoff});
+                Holding{conn.bandwidth, conn.real_time(), via_handoff});
   load_.used += conn.bandwidth;
   if (conn.real_time()) {
     load_.rt_used += conn.bandwidth;
@@ -41,11 +41,11 @@ bool BaseStation::allocate(const Connection& conn, sim::SimTime now,
   return true;
 }
 
-void BaseStation::release(ConnectionId id, sim::SimTime now) {
+Holding BaseStation::release(ConnectionId id, sim::SimTime now) {
   const auto it = held_.find(id);
   FACSP_EXPECTS_MSG(it != held_.end(),
                     "connection " << id << " not allocated on BS " << id_);
-  const Held h = it->second;
+  const Holding h = it->second;
   held_.erase(it);
   load_.used -= h.bw;
   if (h.real_time) {
@@ -61,6 +61,7 @@ void BaseStation::release(ConnectionId id, sim::SimTime now) {
   if (load_.rt_used < 1e-9) load_.rt_used = 0.0;
   if (load_.nrt_used < 1e-9) load_.nrt_used = 0.0;
   touch(now);
+  return h;
 }
 
 bool BaseStation::holds(ConnectionId id) const noexcept {

@@ -1,9 +1,10 @@
 // Base station: one cell's radio resources and on-going-connection ledger.
 //
-// Capacity is counted in bandwidth units (paper: 40 BU per BS).  Besides the
-// plain occupancy, the BS maintains the paper's differentiated-service
-// counters — RTC (real-time: voice+video) and NRTC (non-real-time: text) —
-// which FACS-P's priority mechanism reads.
+// Capacity is counted in bandwidth units (paper: 40 BU per BS).  The BS is
+// the only per-call ledger: besides the plain occupancy it maintains the
+// paper's differentiated-service counters — RTC (real-time: voice+video) and
+// NRTC (non-real-time: text) — and release() returns what a call held, which
+// FACS-P's priority weighting takes back out of its weighted occupancy.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,16 @@ struct LoadState {
   }
 };
 
+/// What one on-going connection holds on a base station: its bandwidth,
+/// its class (RTC when real-time, NRTC otherwise) and whether it arrived by
+/// handoff.  release() hands it back so listeners can undo exactly what the
+/// allocation added.
+struct Holding {
+  Bandwidth bw;
+  bool real_time;
+  bool via_handoff;
+};
+
 /// One cell's base station.  Pure resource ledger: admission *decisions*
 /// live in the cac layer; the BS only enforces physical capacity.
 class BaseStation {
@@ -61,9 +72,10 @@ class BaseStation {
   bool allocate(const Connection& conn, sim::SimTime now,
                 bool via_handoff = false);
 
-  /// Release a connection's bandwidth (normal completion or handoff-out).
-  /// Precondition: the connection is currently allocated here.
-  void release(ConnectionId id, sim::SimTime now);
+  /// Release a connection's bandwidth (normal completion or handoff-out)
+  /// and return what it held.  Precondition: the connection is currently
+  /// allocated here.
+  Holding release(ConnectionId id, sim::SimTime now);
 
   /// True when the connection currently holds bandwidth on this BS.
   bool holds(ConnectionId id) const noexcept;
@@ -76,19 +88,13 @@ class BaseStation {
   double average_utilization(sim::SimTime now) const;
 
  private:
-  struct Held {
-    Bandwidth bw;
-    bool real_time;
-    bool via_handoff;
-  };
-
   void touch(sim::SimTime now);
 
   BaseStationId id_;
   HexCoord coord_;
   Point position_;
   LoadState load_;
-  std::unordered_map<ConnectionId, Held> held_;
+  std::unordered_map<ConnectionId, Holding> held_;
   sim::TimeWeighted util_;
 };
 

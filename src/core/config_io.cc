@@ -119,21 +119,6 @@ const std::map<std::string, Field>& registry() {
         "sim.epoch_s",
         [](const ScenarioConfig& s) { return s.multicell.epoch_s; },
         [](ScenarioConfig& s, double v) { s.multicell.epoch_s = v; });
-    f["sim.epoch_adaptive"] = Field{
-        [](const ScenarioConfig& s) {
-          return std::string(s.multicell.epoch_adaptive ? "true" : "false");
-        },
-        [](ScenarioConfig& s, const std::string& v) {
-          s.multicell.epoch_adaptive = parse_bool(v);
-        }};
-    add_double(
-        "sim.epoch_min_s",
-        [](const ScenarioConfig& s) { return s.multicell.epoch_min_s; },
-        [](ScenarioConfig& s, double v) { s.multicell.epoch_min_s = v; });
-    add_double(
-        "sim.epoch_max_s",
-        [](const ScenarioConfig& s) { return s.multicell.epoch_max_s; },
-        [](ScenarioConfig& s, double v) { s.multicell.epoch_max_s = v; });
     f["sim.workload_cells"] = Field{
         [](const ScenarioConfig& s) {
           return std::to_string(s.multicell.workload_cells);

@@ -31,13 +31,10 @@
 // 1000-cell grid with one busy neighbourhood drains a handful of shards per
 // epoch and fast-forwards through quiet stretches (ctest-enforced via the
 // engine.shards_drained counter).  Skipping is provably a no-op: a drain of
-// a shard with no event <= t_end fires nothing and records nothing, so with
-// `sim.epoch_adaptive` off results are bit-identical to the bulk-synchronous
-// engine — same epoch boundaries (the fast-forward replays the same
-// repeated `t + epoch_s` additions), same delivery timestamps, same RNG
-// draws.  With `sim.epoch_adaptive` on, the epoch length tracks the
-// observed per-epoch handover count within [sim.epoch_min_s,
-// sim.epoch_max_s]; conservation invariants hold but byte goldens don't.
+// a shard with no event <= t_end fires nothing and records nothing, so
+// results are bit-identical to the bulk-synchronous engine — same epoch
+// boundaries (the fast-forward replays the same repeated `t + epoch_s`
+// additions), same delivery timestamps, same RNG draws.
 //
 // Construction cost follows activity too: the constructor lays out the
 // spiral's coordinates and empty shard slots and nothing else per cell — a

@@ -7,14 +7,6 @@ namespace facsp::core {
 void MultiCellConfig::validate() const {
   if (cells < 1) throw ConfigError("multicell: cells must be >= 1");
   if (epoch_s <= 0.0) throw ConfigError("multicell: epoch_s must be > 0");
-  if (epoch_min_s <= 0.0)
-    throw ConfigError("multicell: epoch_min_s must be > 0");
-  if (epoch_max_s < epoch_min_s)
-    throw ConfigError("multicell: epoch_max_s must be >= epoch_min_s");
-  if (epoch_adaptive && (epoch_s < epoch_min_s || epoch_s > epoch_max_s))
-    throw ConfigError(
-        "multicell: adaptive epochs need epoch_s within "
-        "[epoch_min_s, epoch_max_s]");
   if (workload_cells < 0)
     throw ConfigError("multicell: workload_cells must be >= 0");
   // sqrt(3)/2 ~ 0.866 is the hex inradius ratio; beyond 0.85 the entry

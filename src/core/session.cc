@@ -107,8 +107,8 @@ void SessionDriver::handle_arrival(const cellular::CallRequest& call,
 
 void SessionDriver::finish(Session& s, ConnectionState final_state) {
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
-    s.serving->release(s.conn.id, now_);
-    policy_.on_released(s.conn.id, s.conn.service, *s.serving);
+    policy_.on_released(s.conn.id, s.serving->release(s.conn.id, now_),
+                        *s.serving);
   }
   s.conn.state = final_state;
   s.conn.end_time = now_;
@@ -132,8 +132,8 @@ SessionDriver::CellDeparture SessionDriver::depart(Session& s) {
       0.0, s.conn.start_time + s.conn.holding_time - now_);
   d.measured = s.measured;
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
-    s.serving->release(s.conn.id, now_);
-    policy_.on_released(s.conn.id, s.conn.service, *s.serving);
+    policy_.on_released(s.conn.id, s.serving->release(s.conn.id, now_),
+                        *s.serving);
   }
   sessions_.erase(s.conn.id);
   return d;
@@ -149,8 +149,8 @@ void SessionDriver::do_handoff(Session& s, cellular::BaseStation& target) {
     return;
   }
   // Release on the source, then allocate on the target.
-  s.serving->release(s.conn.id, now_);
-  policy_.on_released(s.conn.id, s.conn.service, *s.serving);
+  policy_.on_released(s.conn.id, s.serving->release(s.conn.id, now_),
+                      *s.serving);
   const bool ok = target.allocate(s.conn, now_, /*via_handoff=*/true);
   FACSP_ENSURES(ok);
   policy_.on_admitted(req, target);

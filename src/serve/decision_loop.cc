@@ -99,8 +99,7 @@ void ShardCore::expire_until(double t, bool strict) {
     std::pop_heap(expiries_.begin(), expiries_.end(), ExpiryLater{});
     const Expiry e = expiries_.back();
     expiries_.pop_back();
-    bs.release(e.id, e.at);
-    policy_->on_released(e.id, e.service, bs);
+    policy_->on_released(e.id, bs.release(e.id, e.at), bs);
   }
 }
 
@@ -172,7 +171,7 @@ std::span<const cac::AdmissionDecision> ShardCore::process_batch(
                  bs.allocate(conn, req.now, /*via_handoff=*/handoff);
       if (admitted) {
         policy_->on_admitted(req, bs);
-        expiries_.push_back({req.now + holding_s[k], req.id, req.service});
+        expiries_.push_back({req.now + holding_s[k], req.id});
         std::push_heap(expiries_.begin(), expiries_.end(), ExpiryLater{});
       } else {
         decisions_[k].admitted = false;  // demotion visible to the caller

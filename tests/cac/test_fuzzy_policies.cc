@@ -98,21 +98,10 @@ TEST_F(PolicyFixture, FacsPCountersFollowAdmissions) {
   FacsPPolicy facsp(fp_cfg);
   admit(facsp, request(1, ServiceClass::kVideo));
   admit(facsp, request(2, ServiceClass::kText));
-  const auto& counters = facsp.counters(bs.id());
-  EXPECT_DOUBLE_EQ(counters.rt_bandwidth(), 10.0);
-  EXPECT_DOUBLE_EQ(counters.nrt_bandwidth(), 1.0);
-  facsp.on_released(1, ServiceClass::kVideo, bs);
-  EXPECT_DOUBLE_EQ(facsp.counters(bs.id()).rt_bandwidth(), 0.0);
-}
-
-TEST_F(PolicyFixture, FacsPCountersMatchBaseStationLoad) {
-  FacsPPolicy facsp(fp_cfg);
-  admit(facsp, request(1, ServiceClass::kVideo));
-  admit(facsp, request(2, ServiceClass::kVoice));
-  admit(facsp, request(3, ServiceClass::kText));
-  const auto& c = facsp.counters(bs.id());
-  EXPECT_DOUBLE_EQ(c.rt_bandwidth(), bs.load().rt_used);
-  EXPECT_DOUBLE_EQ(c.nrt_bandwidth(), bs.load().nrt_used);
+  // 10 BU real-time at weight 1.6 plus 1 BU non-real-time at 1.0.
+  EXPECT_DOUBLE_EQ(facsp.counters(bs.id()).effective_occupancy(), 17.0);
+  facsp.on_released(1, bs.release(1, 1.0), bs);
+  EXPECT_DOUBLE_EQ(facsp.counters(bs.id()).effective_occupancy(), 1.0);
 }
 
 TEST_F(PolicyFixture, FacsPPriorityMakesItStricterUnderRtLoad) {
@@ -162,7 +151,7 @@ TEST_F(PolicyFixture, FacsPResetClearsCounters) {
   FacsPPolicy facsp(fp_cfg);
   admit(facsp, request(1, ServiceClass::kVideo));
   facsp.reset();
-  EXPECT_DOUBLE_EQ(facsp.counters(bs.id()).total_bandwidth(), 0.0);
+  EXPECT_DOUBLE_EQ(facsp.counters(bs.id()).effective_occupancy(), 0.0);
 }
 
 TEST_F(PolicyFixture, FacsPName) {

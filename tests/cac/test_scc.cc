@@ -103,7 +103,7 @@ TEST_F(SccFixture, ReleasedActivesStopCastingShadows) {
   SccPolicy scc(net, cfg);
   auto req = request(1, ServiceClass::kVideo, 0.0);
   scc.on_admitted(req, net.center());
-  scc.on_released(1, ServiceClass::kVideo, net.center());
+  scc.on_released(1, {10.0, true, false}, net.center());
   EXPECT_EQ(scc.active_count(), 0u);
   EXPECT_DOUBLE_EQ(scc.projected_demand({0, 0}, 60.0), 0.0);
 }
@@ -149,7 +149,7 @@ TEST_F(SccFixture, HandoffRequesterNotDoubleCounted) {
   // rejected because of its *own* shadow.
   auto ho = request(1, ServiceClass::kVideo, 0.0, 0.0, RequestKind::kHandoff);
   const auto with_self = scc.decide(ho, net.center());
-  scc.on_released(1, ServiceClass::kVideo, net.center());
+  scc.on_released(1, {10.0, true, false}, net.center());
   auto fresh = request(1, ServiceClass::kVideo, 0.0, 0.0,
                        RequestKind::kHandoff);
   const auto without_self = scc.decide(fresh, net.center());

@@ -62,6 +62,22 @@ TEST_F(BsFixture, ReleaseRestoresCapacity) {
   EXPECT_TRUE(bs.holds(2));
 }
 
+TEST_F(BsFixture, ReleaseReturnsWhatWasAllocated) {
+  Connection text = make_conn(1, ServiceClass::kText);
+  text.bandwidth = 0.375;  // the socket path accepts any positive BU
+  ASSERT_TRUE(bs.allocate(text, 0.0));
+  ASSERT_TRUE(bs.allocate(make_conn(2, ServiceClass::kVideo), 0.0,
+                          /*via_handoff=*/true));
+  const Holding video = bs.release(2, 1.0);
+  EXPECT_EQ(video.bw, 10.0);
+  EXPECT_TRUE(video.real_time);
+  EXPECT_TRUE(video.via_handoff);
+  const Holding released_text = bs.release(1, 2.0);
+  EXPECT_EQ(released_text.bw, 0.375);
+  EXPECT_FALSE(released_text.real_time);
+  EXPECT_FALSE(released_text.via_handoff);
+}
+
 TEST_F(BsFixture, DoubleAllocateSameConnectionThrows) {
   bs.allocate(make_conn(1, ServiceClass::kText), 0.0);
   EXPECT_THROW(bs.allocate(make_conn(1, ServiceClass::kText), 1.0),
