@@ -255,13 +255,11 @@ int run_multicell_single(const core::ScenarioConfig& base, const Options& opt,
     };
     for (int k = 0; k < cells; ++k) {
       Row& row = rows[static_cast<std::size_t>(k)];
-      add(row, result.cells[static_cast<std::size_t>(k)].run);
-      row.ho_in += static_cast<double>(
-          result.cells[static_cast<std::size_t>(k)].handoffs_in);
-      row.ho_out += static_cast<double>(
-          result.cells[static_cast<std::size_t>(k)].handoffs_out);
-      row.left += static_cast<double>(
-          result.cells[static_cast<std::size_t>(k)].left_world);
+      const core::MultiCellEngine::Cell cell = engine.cell(k);
+      add(row, cell.run);
+      row.ho_in += static_cast<double>(cell.handoffs_in);
+      row.ho_out += static_cast<double>(cell.handoffs_out);
+      row.left += static_cast<double>(cell.left_world);
     }
     add(rows.back(), result.aggregate);
   }

@@ -1,11 +1,11 @@
 // Admission-policy interface shared by FACS-P, FACS, SCC and the classical
-// baselines.  The session driver builds an AdmissionRequest per new call or
-// handoff, asks the policy to decide, and notifies it of lifecycle events so
-// stateful policies (SCC's shadow clusters, FACS-P's RTC/NRTC counters) stay
-// current.
+// baselines.  Each session driver owns one policy, built by a
+// core::PolicyFactory once the driver's network exists.  The driver builds
+// an AdmissionRequest per new call or handoff, asks the policy to decide,
+// and notifies it of lifecycle events so stateful policies (SCC's shadow
+// clusters, FACS-P's weighted occupancy) stay current.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string_view>
 
@@ -13,7 +13,6 @@
 #include "cellular/connection.h"
 #include "cellular/mobility.h"
 #include "cellular/service.h"
-#include "common/expects.h"
 #include "sim/event_queue.h"
 
 namespace facsp::cac {
@@ -123,58 +122,6 @@ class AdmissionPolicy {
 
   /// Drop all internal state (new replication).
   virtual void reset() {}
-};
-
-/// Forwarding shell that lets the concrete policy be installed *after* the
-/// consumer holding the AdmissionPolicy& was built.  SessionDriver owns the
-/// network but takes the policy by reference, while policy factories need
-/// the network — so the driver is constructed around an empty DeferredPolicy
-/// whose `inner` is filled from the factory once the driver's network
-/// exists (see Experiment::run_single and core::MultiCellEngine).
-///
-/// Contract: `inner` must be installed before the first lifecycle call.
-/// Only name() and reset() tolerate the empty state (both can legitimately
-/// run during two-phase construction); every other entry point asserts,
-/// turning a misordered setup into a diagnosable ContractViolation rather
-/// than a null-pointer call.
-class DeferredPolicy final : public AdmissionPolicy {
- public:
-  std::unique_ptr<AdmissionPolicy> inner;
-
-  std::string_view name() const noexcept override {
-    return inner ? inner->name() : "deferred";
-  }
-  AdmissionDecision decide(const AdmissionRequest& req,
-                           const cellular::BaseStation& bs) override {
-    FACSP_EXPECTS(inner != nullptr);
-    return inner->decide(req, bs);
-  }
-  void decide_batch(std::span<const AdmissionRequest> reqs,
-                    const cellular::BaseStation& bs,
-                    std::span<AdmissionDecision> out) override {
-    FACSP_EXPECTS(inner != nullptr);
-    inner->decide_batch(reqs, bs, out);
-  }
-  void on_admitted(const AdmissionRequest& req,
-                   const cellular::BaseStation& bs) override {
-    FACSP_EXPECTS(inner != nullptr);
-    inner->on_admitted(req, bs);
-  }
-  void on_released(cellular::ConnectionId id,
-                   const cellular::Holding& released,
-                   const cellular::BaseStation& bs) override {
-    FACSP_EXPECTS(inner != nullptr);
-    inner->on_released(id, released, bs);
-  }
-  void on_mobility(cellular::ConnectionId id,
-                   const cellular::MobileState& state,
-                   sim::SimTime now) override {
-    FACSP_EXPECTS(inner != nullptr);
-    inner->on_mobility(id, state, now);
-  }
-  void reset() override {
-    if (inner) inner->reset();
-  }
 };
 
 }  // namespace facsp::cac

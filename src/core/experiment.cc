@@ -39,9 +39,9 @@ RunResult Experiment::run_single(int n, std::uint64_t replication) const {
   // Every run — including the single-world paper run — goes through the
   // multi-cell engine.  With the default multicell.cells = 1 it builds
   // exactly one SessionDriver with the legacy seed roots ("driver" /
-  // "policy" under (scenario.seed, replication)) and a no-op inter-cell
-  // layer, so the result is bit-identical to the historical direct path —
-  // the PR 3 golden-cell tests enforce that equivalence on every run.
+  // "policy" under (scenario.seed, replication)), and every session that
+  // leaves the one-cell grid completes — the single-world semantics.  The
+  // golden-cell tests pin the results.
   MultiCellEngine engine(scenario_, factory_, replication);
   return engine.run(n).aggregate;
 }

@@ -1,10 +1,11 @@
 // Experiment harness: one simulated (N, replication) cell for any admission
 // policy, the per-cell metrics a sweep reduces, and the canonical policy
-// factories.  Replicated sweeps run through SweepRunner (core/sweep.h).
+// factories (PolicyFactory and its thread-safety contract live in
+// core/session.h).  Replicated sweeps run through SweepRunner
+// (core/sweep.h).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -22,22 +23,6 @@
 #include "sim/stats.h"
 
 namespace facsp::core {
-
-/// Builds a fresh policy for one replication.  The factory receives the
-/// replication's network (SCC needs the geometry) and a per-replication
-/// RNG factory (randomised policies draw their own streams).
-///
-/// Thread-safety contract: SweepRunner's workers each run their own
-/// MultiCellEngine, and every engine calls the factory once per shard it
-/// builds — lazily, mid-run, the first time the shard has work.  One
-/// factory is therefore called concurrently from several sweep workers and
-/// must be safe to call that way: capture configuration by value, share
-/// only immutable state (the FACS-P factories share one const FLC1/FLC2
-/// pair), build every piece of mutable per-policy state fresh, and never
-/// close over mutable shared state.  The policy *instances* a factory
-/// returns are used by one thread at a time.
-using PolicyFactory = std::function<std::unique_ptr<cac::AdmissionPolicy>(
-    const cellular::CellularNetwork& network, sim::RngFactory& rng)>;
 
 /// Scalar metrics of one (n, replication) run, in the units the sweep
 /// aggregates (percentages).  The single definition of "which numbers a
@@ -66,7 +51,7 @@ class Experiment {
   /// SweepRunner.  Every piece of per-run state (driver, network, RNG
   /// streams, policy, inference scratch) is built locally, so concurrent
   /// calls from different threads are safe given the PolicyFactory contract
-  /// above.
+  /// (core/session.h).
   RunResult run_single(int n, std::uint64_t replication) const;
 
   const std::string& policy_label() const noexcept { return label_; }

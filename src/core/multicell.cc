@@ -149,17 +149,9 @@ void MultiCellEngine::build(int cell, int n_requests) {
   ScenarioConfig cell_scenario = scenario_;
   cell_scenario.seed = cell_seed;
 
-  sh.policy = std::make_unique<cac::DeferredPolicy>();
   sh.driver = std::make_unique<SessionDriver>(
-      cell_scenario, *sh.policy, replication_,
+      cell_scenario, factory_, replication_,
       kCellIdOffset * static_cast<cellular::ConnectionId>(cell));
-  sim::RngFactory policy_rng(
-      sim::hash_seed(cell_seed, "policy", replication_));
-  sh.policy->inner = factory_(sh.driver->network(), policy_rng);
-  Shard* self = &sh;  // a built shard never moves
-  sh.driver->set_departure_sink([self](SessionDriver::CellDeparture dep) {
-    self->outbox.push_back(std::move(dep));
-  });
   sh.driver->begin(n_requests);
 
   built_.insert(std::lower_bound(built_.begin(), built_.end(), cell), cell);
@@ -174,6 +166,21 @@ bool MultiCellEngine::built(int cell) const {
 const SessionDriver& MultiCellEngine::driver(int cell) const {
   FACSP_EXPECTS_MSG(built(cell), "shard " << cell << " was never built");
   return *shard(cell).driver;
+}
+
+MultiCellEngine::Cell MultiCellEngine::cell(int k) const {
+  Cell c;
+  if (!built(k)) {
+    c.run = SessionDriver::idle_result();
+  } else {
+    const Shard& sh = shard(k);
+    c.run = sh.driver->result();
+    c.handoffs_out = sh.handoffs_out;
+    c.handoffs_in = sh.handoffs_in;
+    c.left_world = sh.left_world;
+  }
+  c.coord = coords_[static_cast<std::size_t>(k)];
+  return c;
 }
 
 int MultiCellEngine::route_target(int cell, double heading_deg) const {
@@ -194,7 +201,7 @@ int MultiCellEngine::route_target(int cell, double heading_deg) const {
 }
 
 cellular::MobileState MultiCellEngine::entry_state(
-    const SessionDriver::CellDeparture& dep) const {
+    const SessionDriver::Handover& dep) const {
   // Re-materialise in the destination frame: entering its centre cell from
   // the side the user came from — entry_fraction * cell_radius behind the
   // centre BS along the (unchanged) travel direction.  entry_fraction stays
@@ -218,21 +225,22 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
   es.routes.clear();
 
   // Inbox invariant: every inbox is empty here — phase 2 clears each one it
-  // fills, right after processing it.  Only drained shards can hold outbox
-  // records, so iterating the (ascending) drain list visits exactly the
+  // fills, right after processing it.  Only drained shards can hold
+  // departures, so iterating the (ascending) drain list visits exactly the
   // shards the historical all-cells sweep routed, in the same order.
   touched_.clear();
 
   // Phase 1 — route departures, in fixed (cell, drain-event) order.
   for (const int k : drain_) {
     Shard& src = shard(k);
-    for (SessionDriver::CellDeparture& dep : src.outbox) {
+    auto& departures = src.driver->departures();
+    for (const SessionDriver::Handover& dep : departures) {
       ++es.departures;
       const int dst = route_target(k, dep.state.heading_deg);
       if (observer_) es.routes.emplace_back(k, dst);
       if (dst < 0) {
         // Off the super-grid edge: the call leaves the modelled area as a
-        // completion, just like the single-world driver's semantics.
+        // completion (the network did not fail it).
         ++es.left_world;
         ++src.left_world;
         if (dep.measured)
@@ -247,15 +255,11 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
       Shard& dsh = shard(dst);
       ++dsh.handoffs_in;
       if (dsh.inbox.empty()) touched_.push_back(dst);  // first touch
-      SessionDriver::CellArrival a;
-      a.conn = dep.conn;
-      a.state = entry_state(dep);
-      a.when = t_end;
-      a.remaining_holding_s = dep.remaining_holding_s;
-      a.measured = dep.measured;
-      dsh.inbox.push_back(std::move(a));
+      dsh.inbox.push_back(SessionDriver::Handover{
+          dep.conn, entry_state(dep), t_end, dep.remaining_holding_s,
+          dep.measured});
     }
-    src.outbox.clear();
+    departures.clear();
   }
   std::sort(touched_.begin(), touched_.end());
 
@@ -268,13 +272,13 @@ void MultiCellEngine::route_epoch(sim::SimTime t_end) {
   for (const int t : touched_) {
     Shard& sh = shard(t);
     sh.requests.clear();
-    for (const SessionDriver::CellArrival& a : sh.inbox)
+    for (const SessionDriver::Handover& a : sh.inbox)
       sh.requests.push_back(sh.driver->inbound_request(a));
     sh.decisions.resize(sh.inbox.size());
-    sh.policy->decide_batch(sh.requests, sh.driver->network().center(),
-                            sh.decisions);
+    sh.driver->policy().decide_batch(
+        sh.requests, sh.driver->network().center(), sh.decisions);
     for (std::size_t i = 0; i < sh.inbox.size(); ++i) {
-      const SessionDriver::CellArrival& a = sh.inbox[i];
+      const SessionDriver::Handover& a = sh.inbox[i];
       const bool ok = sh.decisions[i].admitted &&
                       sh.driver->admit_inbound(a, sh.requests[i]);
       if (a.measured) sh.driver->metrics().record_handoff(a.conn.service, ok);
@@ -439,7 +443,8 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
     {
       FACSP_TRACE_SPAN("engine", "epoch");
       // Parallel drain: share-nothing — each shard touches only its own
-      // driver/policy/outbox, so worker scheduling cannot affect results.
+      // driver, policy and departure list, so worker scheduling cannot
+      // affect results.
       pool.parallel_for(drain_.size(), [&](std::size_t i) {
         const int k = drain_[i];
         obs::ScopedSpan drain(
@@ -469,34 +474,22 @@ MultiCellResult MultiCellEngine::run(int n_requests_per_cell) {
   }
 
   FACSP_TRACE_SPAN("engine", "reduce");
-  // Every cell starts as the idle cell; only built shards are read and
-  // merged, in ascending order.  An unbuilt shard would add integer zeros
-  // and a +0.0 utilization, which change no bit of the sums; its duration
-  // floor still enters the max.
-  MultiCellResult out;
-  MultiCellResult::Cell idle;
-  idle.run = SessionDriver::idle_result();
-  out.cells.assign(shards_.size(), idle);
-  for (std::size_t k = 0; k < shards_.size(); ++k)
-    out.cells[k].coord = coords_[k];
+  // Only built shards are read and merged, in ascending order.  An unbuilt
+  // shard would add integer zeros and a +0.0 utilization, which change no
+  // bit of the sums; its duration floor still enters the max.
   RunResult agg;
-  if (built_.size() < shards_.size()) agg.duration_s = idle.run.duration_s;
+  if (built_.size() < shards_.size())
+    agg.duration_s = SessionDriver::idle_result().duration_s;
   double util_sum = 0.0;
   for (const int k : built_) {
-    const Shard& sh = shard(k);
-    MultiCellResult::Cell& c = out.cells[static_cast<std::size_t>(k)];
-    c.run = sh.driver->result();
-    c.handoffs_out = sh.handoffs_out;
-    c.handoffs_in = sh.handoffs_in;
-    c.left_world = sh.left_world;
-    agg.metrics.merge(c.run.metrics);
-    agg.duration_s = std::max(agg.duration_s, c.run.duration_s);
-    agg.events += c.run.events;
-    util_sum += c.run.center_utilization;
+    const RunResult r = shard(k).driver->result();
+    agg.metrics.merge(r.metrics);
+    agg.duration_s = std::max(agg.duration_s, r.duration_s);
+    agg.events += r.events;
+    util_sum += r.center_utilization;
   }
   agg.center_utilization = util_sum / static_cast<double>(shards_.size());
-  out.aggregate = std::move(agg);
-  return out;
+  return MultiCellResult{std::move(agg)};
 }
 
 }  // namespace facsp::core

@@ -1,8 +1,9 @@
-// Multi-cell sharded simulation: the scenario's world replicated into C
-// shards on a super hex grid, one SessionDriver + admission policy +
+// Multi-cell sharded simulation — the one driver loop every replication
+// runs through: the scenario's world replicated into C shards on a super
+// hex grid, one SessionDriver (which owns its admission policy) +
 // RNG-stream family per shard, driven in bulk-synchronous epochs over a
 // sim::ThreadPool with explicit inter-cell handovers exchanged at the
-// epoch barriers.
+// epoch barriers.  With C = 1 it is the paper's single-world run.
 //
 // Execution model (event-driven since PR 10)
 //
@@ -13,10 +14,11 @@
 //                the clock fast-forwards boundary by boundary to the one
 //                holding the earliest event, without touching a shard;
 //     parallel:  only shards with an event <= t_end drain their own event
-//                queues, collecting sessions that crossed the service-area
-//                boundary into shard-local outboxes (no shared state is
-//                touched).  Shards woken mid-epoch by an inbound handover
-//                join the *next* drain, preserving barrier semantics;
+//                queues; each driver collects the sessions that crossed its
+//                service-area boundary in its own departure list (no shared
+//                state is touched).  Shards woken mid-epoch by an inbound
+//                handover join the *next* drain, preserving barrier
+//                semantics;
 //     barrier:   departures are routed serially in fixed (cell, event)
 //                order to the hex neighbour matching the exit heading —
 //                or complete if they fall off the super-grid edge — and
@@ -44,13 +46,13 @@
 // that first delivers a handover to it otherwise (engine.shards_built).  A
 // build touches only the shard's own state, seeded from its cell id, so
 // build order cannot change a result; a shard never built reports
-// SessionDriver::idle_result().
+// SessionDriver::idle_result() through cell().
 //
 // The barrier epilogue re-reads only the shards it drained or delivered to
 // and moves running network-wide totals by their change, and the reduce
-// merges only built shards into a per-cell table pre-filled with the idle
-// cell.  So a barrier costs O(shards touched) and a replication
-// O(built shards) beyond that one table fill, observer attached or not.
+// merges only built shards into the aggregate; per-cell rows are read on
+// demand through cell().  So a barrier costs O(shards touched) and a
+// replication O(built shards), observer attached or not.
 //
 // Determinism: the parallel phase is share-nothing (each shard owns its
 // driver, policy state, scratch and RNG streams — policies may share
@@ -58,9 +60,8 @@
 // hash_seed(seed, "cell", cell_id) — cell 0 keeps the legacy roots), and
 // the barrier phase is serial in a fixed order (ascending cell id over the
 // drain list), so results are bit-identical for every thread count.  With
-// cells = 1 the engine degenerates to exactly the historical single-world
-// SessionDriver run, bit for bit (ctest-enforced against the PR 3 golden
-// cells).
+// cells = 1 every departure falls off the grid's edge and completes: the
+// single-world run, pinned by the golden paper-grid cells.
 //
 // See docs/experiments.md ("Multi-cell sharding") for the full argument.
 #pragma once
@@ -72,37 +73,29 @@
 
 #include "cac/policy.h"
 #include "cellular/hexgrid.h"
-#include "core/experiment.h"
 #include "core/scenario.h"
 #include "core/session.h"
 
 namespace facsp::core {
 
-/// Outcome of one multi-cell replication: per-cell results plus the
-/// network-wide aggregate (merged counters — CBP from the new-call counter,
-/// CDP from the handoff counter, exactly the paper's split).
+/// Outcome of one multi-cell replication: the network-wide aggregate
+/// (merged counters — CBP from the new-call counter, CDP from the handoff
+/// counter, exactly the paper's split).  Per-cell rows come from
+/// MultiCellEngine::cell().
 struct MultiCellResult {
-  struct Cell {
-    cellular::HexCoord coord;        ///< super-grid coordinate of the shard
-    RunResult run;                   ///< the shard's metrics/utilization/events
-    std::uint64_t handoffs_out = 0;  ///< departures routed to a neighbour shard
-    std::uint64_t handoffs_in = 0;   ///< inter-cell attempts delivered here
-    std::uint64_t left_world = 0;    ///< departures off the super-grid edge
-  };
-  std::vector<Cell> cells;
-  /// Merged view in RunResult form: counters summed across cells,
-  /// utilization averaged, duration = max, events summed.  For cells = 1
-  /// this equals the single-world RunResult bit for bit.
+  /// Merged view in RunResult form: counters summed across built shards in
+  /// ascending cell order, utilization averaged over every cell, duration =
+  /// max (the idle floor included when any shard was never built), events
+  /// summed.  For cells = 1 this is the single-world RunResult.
   RunResult aggregate;
 };
 
 /// Executes one replication of a ScenarioConfig whose `multicell.cells`
-/// shards form the super grid.  Constructed per (scenario, replication) —
-/// exactly like SessionDriver, which it generalises.
+/// shards form the super grid.  Constructed per (scenario, replication).
 class MultiCellEngine {
  public:
   /// Lays out the grid and its routing tables only; shards are built on
-  /// first use, each with one call of `factory` (kept by copy).
+  /// first use, each driver calling `factory` (kept by copy) once.
   MultiCellEngine(const ScenarioConfig& scenario, PolicyFactory factory,
                   std::uint64_t replication);
 
@@ -111,7 +104,7 @@ class MultiCellEngine {
   /// admitted + dropped == delivered at every epoch.
   struct EpochStats {
     sim::SimTime t_end = 0.0;
-    std::uint64_t departures = 0;  ///< outbox records collected this drain
+    std::uint64_t departures = 0;  ///< departures collected this drain
     std::uint64_t delivered = 0;   ///< routed to an in-grid neighbour
     std::uint64_t left_world = 0;  ///< no neighbour: left the modelled area
     std::uint64_t admitted = 0;    ///< inbound handovers admitted
@@ -153,12 +146,23 @@ class MultiCellEngine {
   /// Precondition: built(cell).
   const SessionDriver& driver(int cell) const;
 
+  /// One cell's row of the replication.
+  struct Cell {
+    cellular::HexCoord coord;        ///< super-grid coordinate of the shard
+    RunResult run;                   ///< the shard's metrics/utilization/events
+    std::uint64_t handoffs_out = 0;  ///< departures routed to a neighbour shard
+    std::uint64_t handoffs_in = 0;   ///< inter-cell attempts delivered here
+    std::uint64_t left_world = 0;    ///< departures off the super-grid edge
+  };
+  /// Cell `k` as run() left it (its driver's result() and handoff
+  /// counters), or the idle cell — SessionDriver::idle_result(), zero
+  /// counters — for a shard never built.
+  Cell cell(int k) const;
+
  private:
   struct Shard {
-    std::unique_ptr<cac::DeferredPolicy> policy;
     std::unique_ptr<SessionDriver> driver;
-    std::vector<SessionDriver::CellDeparture> outbox;  ///< filled during drain
-    std::vector<SessionDriver::CellArrival> inbox;     ///< filled at barrier
+    std::vector<SessionDriver::Handover> inbox;  ///< filled at barrier
     // Reused across epochs: steady-state barriers allocate nothing.
     std::vector<cac::AdmissionRequest> requests;
     std::vector<cac::AdmissionDecision> decisions;
@@ -182,7 +186,7 @@ class MultiCellEngine {
   void refresh_totals(Shard& sh);
 
   cellular::MobileState entry_state(
-      const SessionDriver::CellDeparture& dep) const;
+      const SessionDriver::Handover& dep) const;
   void route_epoch(sim::SimTime t_end);
 
   /// Active-shard index maintenance (swap-remove vector + position map —

@@ -1,6 +1,7 @@
 #include "core/scenario.h"
 
 #include "common/error.h"
+#include "sim/thread_pool.h"
 
 namespace facsp::core {
 
@@ -13,7 +14,7 @@ void MultiCellConfig::validate() const {
   // point could land outside the destination's centre cell.
   if (entry_fraction <= 0.0 || entry_fraction > 0.85)
     throw ConfigError("multicell: entry_fraction must be in (0, 0.85]");
-  if (threads < 0) throw ConfigError("multicell: threads must be >= 0");
+  sim::ThreadPool::validate_threads(threads, "multicell");
 }
 
 void ScenarioConfig::validate() const {

@@ -39,8 +39,9 @@ struct MultiCellConfig {
   /// direction.  Must stay below the hex inradius ratio (sqrt(3)/2 ~ 0.866)
   /// so the entry point is always inside the centre cell.
   double entry_fraction = 0.8;
-  /// Worker threads draining shards in parallel (0 = hardware concurrency).
-  /// A pure throughput knob: results are bit-identical for every value.
+  /// Worker threads draining shards in parallel (0 = hardware concurrency;
+  /// at most sim::ThreadPool::kMaxThreads; never more than cells).  A pure
+  /// throughput knob: results are bit-identical for every value.
   int threads = 1;
 
   /// Throws facsp::ConfigError on invalid values.

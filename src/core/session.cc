@@ -14,20 +14,23 @@ using cellular::ConnectionState;
 using cellular::RequestKind;
 
 SessionDriver::SessionDriver(const ScenarioConfig& scenario,
-                             cac::AdmissionPolicy& policy,
+                             const PolicyFactory& factory,
                              std::uint64_t replication,
                              cellular::ConnectionId id_offset)
     : scenario_(scenario),
-      policy_(policy),
-      // The driver's streams live under their own "driver" component, while
-      // Experiment::run_single seeds the policy's RngFactory under "policy":
-      // two distinct top-level components of the same (seed, replication)
-      // pair, so a policy's draws can never alias the traffic/mobility
-      // streams no matter what stream names either side picks.
+      // The driver's streams live under their own "driver" component and
+      // the policy's under "policy": two distinct top-level components of
+      // the same (seed, replication) pair, so a policy's draws can never
+      // alias the traffic/mobility streams no matter what stream names
+      // either side picks.
       rng_(sim::hash_seed(scenario.seed, "driver", replication)) {
   scenario_.validate();
+  FACSP_EXPECTS(static_cast<bool>(factory));
   network_ = std::make_unique<cellular::CellularNetwork>(
       scenario_.rings, scenario_.cell_radius_m, scenario_.capacity_bu);
+  sim::RngFactory policy_rng(
+      sim::hash_seed(scenario_.seed, "policy", replication));
+  policy_ = factory(*network_, policy_rng);
   // Centre generator first, then one per remaining cell with positive
   // spatial weight.  Each generator gets a disjoint id range and its own
   // random stream (keyed by the station id, not the spawner index), so
@@ -87,7 +90,7 @@ void SessionDriver::handle_arrival(const cellular::CallRequest& call,
   s.measured = measured;
 
   const auto req = make_request(s.conn, s.state, RequestKind::kNew, *bs);
-  const auto decision = policy_.decide(req, *bs);
+  const auto decision = policy_->decide(req, *bs);
   if (measured)
     metrics_.record_new_call(call.service, call.priority,
                              decision.admitted);
@@ -97,7 +100,7 @@ void SessionDriver::handle_arrival(const cellular::CallRequest& call,
 
   const bool ok = bs->allocate(s.conn, now_, /*via_handoff=*/false);
   FACSP_ENSURES(ok);  // decide() verified can_fit under the same event
-  policy_.on_admitted(req, *bs);
+  policy_->on_admitted(req, *bs);
   s.conn.state = ConnectionState::kActive;
   s.conn.start_time = now_;
 
@@ -107,8 +110,8 @@ void SessionDriver::handle_arrival(const cellular::CallRequest& call,
 
 void SessionDriver::finish(Session& s, ConnectionState final_state) {
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
-    policy_.on_released(s.conn.id, s.serving->release(s.conn.id, now_),
-                        *s.serving);
+    policy_->on_released(s.conn.id, s.serving->release(s.conn.id, now_),
+                         *s.serving);
   }
   s.conn.state = final_state;
   s.conn.end_time = now_;
@@ -121,39 +124,35 @@ void SessionDriver::finish(Session& s, ConnectionState final_state) {
   sessions_.erase(s.conn.id);
 }
 
-SessionDriver::CellDeparture SessionDriver::depart(Session& s) {
-  CellDeparture d;
-  d.conn = s.conn;
-  d.state = s.state;
-  d.when = now_;
+void SessionDriver::depart(Session& s) {
   // The completion event would fire at start + holding; what is left of the
   // call continues in whichever cell admits it.
-  d.remaining_holding_s = std::max(
-      0.0, s.conn.start_time + s.conn.holding_time - now_);
-  d.measured = s.measured;
+  departures_.push_back(Handover{
+      s.conn, s.state, now_,
+      std::max(0.0, s.conn.start_time + s.conn.holding_time - now_),
+      s.measured});
   if (s.conn.state == ConnectionState::kActive && s.serving != nullptr) {
-    policy_.on_released(s.conn.id, s.serving->release(s.conn.id, now_),
-                        *s.serving);
+    policy_->on_released(s.conn.id, s.serving->release(s.conn.id, now_),
+                         *s.serving);
   }
   sessions_.erase(s.conn.id);
-  return d;
 }
 
 void SessionDriver::do_handoff(Session& s, cellular::BaseStation& target) {
   const auto req =
       make_request(s.conn, s.state, RequestKind::kHandoff, target);
-  const auto decision = policy_.decide(req, target);
+  const auto decision = policy_->decide(req, target);
   if (s.measured) metrics_.record_handoff(s.conn.service, decision.admitted);
   if (!decision.admitted) {
     finish(s, ConnectionState::kDropped);
     return;
   }
   // Release on the source, then allocate on the target.
-  policy_.on_released(s.conn.id, s.serving->release(s.conn.id, now_),
-                      *s.serving);
+  policy_->on_released(s.conn.id, s.serving->release(s.conn.id, now_),
+                       *s.serving);
   const bool ok = target.allocate(s.conn, now_, /*via_handoff=*/true);
   FACSP_ENSURES(ok);
-  policy_.on_admitted(req, target);
+  policy_->on_admitted(req, target);
   s.serving = &target;
   ++s.conn.handoff_count;
 }
@@ -161,21 +160,14 @@ void SessionDriver::do_handoff(Session& s, cellular::BaseStation& target) {
 void SessionDriver::handle_mobility(Session& s) {
   const ConnectionId id = s.conn.id;
   mobility_->advance(s.state, scenario_.mobility_update_s);
-  policy_.on_mobility(id, s.state, now_);
+  policy_->on_mobility(id, s.state, now_);
 
   cellular::BaseStation* here =
       network_->station_covering(s.state.position);
   if (here == nullptr) {
-    if (departure_sink_) {
-      // Multi-cell mode: the session crosses into a neighbouring shard; the
-      // inter-cell layer routes it (or completes it at the world edge).
-      departure_sink_(depart(s));
-      return;
-    }
-    // Left the modelled service area: the call leaves the system with its
-    // resources freed (counted as a normal completion — the network did not
-    // fail it).
-    finish(s, ConnectionState::kCompleted);
+    // The session crosses into a neighbouring shard; the engine routes it
+    // at the barrier (or completes it at the super-grid's edge).
+    depart(s);
     return;
   }
   if (here != s.serving) {
@@ -187,7 +179,7 @@ void SessionDriver::handle_mobility(Session& s) {
 }
 
 cac::AdmissionRequest SessionDriver::inbound_request(
-    const CellArrival& arrival) {
+    const Handover& arrival) {
   cellular::BaseStation* bs =
       network_->station_covering(arrival.state.position);
   FACSP_ENSURES(bs != nullptr);  // entry_fraction keeps entries in-cell
@@ -197,7 +189,7 @@ cac::AdmissionRequest SessionDriver::inbound_request(
   return req;
 }
 
-bool SessionDriver::admit_inbound(const CellArrival& arrival,
+bool SessionDriver::admit_inbound(const Handover& arrival,
                                   const cac::AdmissionRequest& req) {
   cellular::BaseStation* bs =
       network_->station_covering(arrival.state.position);
@@ -209,7 +201,7 @@ bool SessionDriver::admit_inbound(const CellArrival& arrival,
   s.measured = arrival.measured;
   if (!bs->allocate(s.conn, arrival.when, /*via_handoff=*/true))
     return false;  // the batch over-admitted past physical capacity
-  policy_.on_admitted(req, *bs);
+  policy_->on_admitted(req, *bs);
   s.serving = bs;
   s.conn.state = ConnectionState::kActive;
   s.conn.start_time = arrival.when;
@@ -223,7 +215,6 @@ bool SessionDriver::admit_inbound(const CellArrival& arrival,
 
 void SessionDriver::begin(int n_requests) {
   FACSP_EXPECTS(n_requests >= 0);
-  policy_.reset();
   network_->start_metrics(0.0);
 
   // Element 0 is the centre's generator: its calls are the measured ones.
@@ -342,12 +333,6 @@ RunResult SessionDriver::idle_result() {
   RunResult result;
   result.duration_s = kMinDurationS;
   return result;
-}
-
-RunResult SessionDriver::run(int n_requests) {
-  begin(n_requests);
-  advance_until(scenario_.horizon_s);
-  return result();
 }
 
 }  // namespace facsp::core

@@ -1,11 +1,12 @@
-// Session driver: executes one replication of the paper's experiment —
+// Session driver: one shard of a replication of the paper's experiment —
 // N requesting connections arriving in the centre cell, admission control,
 // call holding, mobility, handoff between cells, and metric collection.
 //
-// The driver can run a whole replication in one call (run()) or be driven
-// incrementally (begin() + advance_until()) by the multi-cell engine
-// (core/multicell.h), which shards one driver per super-grid cell and
-// exchanges inter-cell handovers between them at epoch boundaries.
+// The multi-cell engine (core/multicell.h) is the only loop that drives it:
+// the engine builds one driver per super-grid cell, advances each with
+// begin() + advance_until(), and exchanges inter-cell handovers between
+// them at epoch boundaries.  A one-cell engine run is the paper's
+// single-world run.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,22 @@
 
 namespace facsp::core {
 
+/// Builds a fresh policy for one shard of a replication.  The factory
+/// receives the shard's network (SCC needs the geometry) and a
+/// per-replication RNG factory (randomised policies draw their own streams).
+///
+/// Thread-safety contract: SweepRunner's workers each run their own
+/// MultiCellEngine, and every engine builds a SessionDriver — which calls
+/// the factory once — per shard it builds: lazily, mid-run, the first time
+/// the shard has work.  One factory is therefore called concurrently from
+/// several sweep workers and must be safe to call that way: capture
+/// configuration by value, share only immutable state (the FACS-P factories
+/// share one const FLC1/FLC2 pair), build every piece of mutable per-policy
+/// state fresh, and never close over mutable shared state.  The policy
+/// *instances* a factory returns are used by one thread at a time.
+using PolicyFactory = std::function<std::unique_ptr<cac::AdmissionPolicy>(
+    const cellular::CellularNetwork& network, sim::RngFactory& rng)>;
+
 /// Outcome of one replication.
 struct RunResult {
   cellular::MetricsCollector metrics;
@@ -32,9 +49,8 @@ struct RunResult {
   std::uint64_t events = 0;         ///< DES events fired
 };
 
-/// Drives one simulation run.  Owns the network, the event loop and the
-/// per-run random streams; the admission policy is borrowed (reset() is
-/// called at the start of the run).
+/// Drives one shard.  Owns the network, its admission policy, the event
+/// loop and the per-run random streams.
 ///
 /// The loop has three kinds of event: a call arrives, a call completes, a
 /// mobile moves (and maybe hands off).  Events at one instant fire in the
@@ -45,39 +61,18 @@ class SessionDriver {
  public:
   /// `replication` seeds the run's random streams (common random numbers:
   /// the same (scenario.seed, replication) pair generates the same workload
-  /// for every policy).  `id_offset` shifts every generated connection id —
-  /// the multi-cell engine gives each shard a disjoint id namespace so
-  /// sessions migrating between shards can never collide (0 keeps the
-  /// historical single-world ids).
-  SessionDriver(const ScenarioConfig& scenario, cac::AdmissionPolicy& policy,
+  /// for every policy).  The policy is built by `factory` right after the
+  /// network, from hash_seed(scenario.seed, "policy", replication).
+  /// `id_offset` shifts every generated connection id — the multi-cell
+  /// engine gives each shard a disjoint id namespace so sessions migrating
+  /// between shards can never collide (cell 0 keeps offset 0).
+  SessionDriver(const ScenarioConfig& scenario, const PolicyFactory& factory,
                 std::uint64_t replication, cellular::ConnectionId id_offset = 0);
 
-  /// Simulate `n_requests` new-call requests and run until every admitted
-  /// call completed, dropped, or left the network (or the horizon hit).
-  /// Equivalent to begin(n_requests) + advance_until(horizon) + result().
-  RunResult run(int n_requests);
-
-  // --- incremental interface (multi-cell engine) ---------------------------
-
-  /// A session leaving this driver's service area.  When a departure sink is
-  /// installed the session's resources are released here and the record is
-  /// handed to the sink (the inter-cell layer decides its fate); without a
-  /// sink the call simply leaves the modelled area as a completion.
-  struct CellDeparture {
-    cellular::Connection conn;
-    cellular::MobileState state;          ///< position just outside the disc
-    sim::SimTime when = 0.0;
-    sim::SimTime remaining_holding_s = 0.0;
-    bool measured = true;
-  };
-  using DepartureSink = std::function<void(CellDeparture)>;
-  void set_departure_sink(DepartureSink sink) {
-    departure_sink_ = std::move(sink);
-  }
-
-  /// An inter-cell handover arriving into this driver's world at `when`
-  /// (state already mapped into this driver's coordinate frame).
-  struct CellArrival {
+  /// A session crossing between shards: leaving this driver's service area
+  /// (state just outside the disc, `when` the move that left it), or
+  /// entering it at `when` with its state mapped into this driver's frame.
+  struct Handover {
     cellular::Connection conn;
     cellular::MobileState state;
     sim::SimTime when = 0.0;
@@ -85,8 +80,8 @@ class SessionDriver {
     bool measured = true;
   };
 
-  /// Schedule the replication's arrivals and reset the policy/metrics.
-  /// First half of run(); must be called exactly once before advance_until.
+  /// Schedule the replication's `n_requests` arrivals.  Must be called
+  /// exactly once, before advance_until.
   void begin(int n_requests);
 
   /// Fire events with timestamp <= t.  Returns the number fired.
@@ -109,10 +104,16 @@ class SessionDriver {
   /// had to build.
   static RunResult idle_result();
 
+  /// Sessions that left the service area since the caller last cleared
+  /// this list, in event order.  Their resources are already released and
+  /// nothing is recorded for them: their fate belongs to the multi-cell
+  /// engine, which drains the list at every barrier.
+  std::vector<Handover>& departures() noexcept { return departures_; }
+
   /// The admission request an inbound handover presents to the base station
   /// covering its entry position.  Consumes one direction-predictor draw,
   /// exactly like any other handoff request.
-  cac::AdmissionRequest inbound_request(const CellArrival& arrival);
+  cac::AdmissionRequest inbound_request(const Handover& arrival);
 
   /// Complete an *admitted* inbound handover: allocate on the covering BS,
   /// create the session, schedule its completion/mobility events.  Returns
@@ -120,7 +121,7 @@ class SessionDriver {
   /// (batched decisions are taken against one load snapshot, so a burst can
   /// over-admit); the caller records the drop.  Does not record metrics:
   /// the engine attributes the handoff attempt to this cell's collector.
-  bool admit_inbound(const CellArrival& arrival,
+  bool admit_inbound(const Handover& arrival,
                      const cac::AdmissionRequest& req);
 
   /// Mutable metrics access for the inter-cell layer (handoff attempts,
@@ -131,6 +132,9 @@ class SessionDriver {
   std::size_t session_count() const noexcept { return sessions_.size(); }
 
   const cellular::CellularNetwork& network() const noexcept { return *network_; }
+
+  /// The shard's admission policy (the engine decides inbound batches).
+  cac::AdmissionPolicy& policy() noexcept { return *policy_; }
 
  private:
   struct Session {
@@ -166,9 +170,9 @@ class SessionDriver {
   void handle_mobility(Session& s);
   void do_handoff(Session& s, cellular::BaseStation& target);
   void finish(Session& s, cellular::ConnectionState final_state);
-  /// Release the session's resources and erase it *without* recording a
-  /// completion or drop: its fate now belongs to the inter-cell layer.
-  CellDeparture depart(Session& s);
+  /// Release the session's resources, erase it and append it to
+  /// departures_ *without* recording a completion or drop.
+  void depart(Session& s);
 
   cac::AdmissionRequest make_request(const cellular::Connection& conn,
                                      const cellular::MobileState& state,
@@ -188,8 +192,8 @@ class SessionDriver {
   };
 
   ScenarioConfig scenario_;
-  cac::AdmissionPolicy& policy_;
   std::unique_ptr<cellular::CellularNetwork> network_;
+  std::unique_ptr<cac::AdmissionPolicy> policy_;
   sim::EventHeap<Event> heap_;  ///< its top is live between calls
   sim::SimTime now_ = 0.0;
   sim::SimTime last_event_ = 0.0;  ///< 0 until an event fires
@@ -206,7 +210,7 @@ class SessionDriver {
   std::unique_ptr<cellular::DirectionPredictor> predictor_;
   cellular::MetricsCollector metrics_;
   std::unordered_map<cellular::ConnectionId, Session> sessions_;
-  DepartureSink departure_sink_;
+  std::vector<Handover> departures_;
 };
 
 }  // namespace facsp::core

@@ -1,5 +1,6 @@
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/error.h"
@@ -137,7 +138,7 @@ std::size_t SweepSpec::cell_count() const noexcept {
 void SweepSpec::validate() const {
   if (replications < 1)
     throw ConfigError("sweep: replications must be >= 1");
-  if (threads < 0) throw ConfigError("sweep: threads must be >= 0");
+  sim::ThreadPool::validate_threads(threads, "sweep");
   // Negated so a NaN level is rejected too.
   if (!(ci_level > 0.0 && ci_level < 1.0))
     throw ConfigError("sweep: ci_level must be in (0, 1)");
@@ -253,7 +254,11 @@ ResultTable SweepRunner::run(std::vector<CellMetrics>* cells) const {
   // pre-sized slot; worker scheduling can only change when a slot is
   // produced, never its value.
   std::vector<CellMetrics> grid(total);
-  sim::ThreadPool pool(sim::ThreadPool::resolve_threads(spec_.threads));
+  // Never more workers than cells: surplus threads would only spawn and
+  // join (results are thread-count-invariant either way).
+  sim::ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(
+      sim::ThreadPool::resolve_threads(spec_.threads),
+      std::max<std::size_t>(total, 1))));
   // Resolved once, outside the fan-out, so cells never touch the registry
   // mutex; progress/duration recording is a few relaxed atomics per cell.
   obs::Counter* cells_done = nullptr;

@@ -41,7 +41,7 @@ namespace facsp::core {
 
 /// One value of a policy axis: display label (the cell coordinate) +
 /// factory.  Factories must honour the PolicyFactory thread-safety contract
-/// (experiment.h): they are invoked concurrently from worker threads.
+/// (session.h): they are invoked concurrently from worker threads.
 struct PolicyChoice {
   std::string name;
   PolicyFactory factory;
@@ -98,8 +98,9 @@ struct SweepSpec {
   /// The implicit innermost axis: replications per grid cell.
   int replications = 8;
   double ci_level = 0.95;
-  /// Worker threads (0 = hardware concurrency).  A pure throughput knob:
-  /// the ResultTable is bit-identical for every value.
+  /// Worker threads (0 = hardware concurrency, at most
+  /// sim::ThreadPool::kMaxThreads, never more than cells).  A pure
+  /// throughput knob: the ResultTable is bit-identical for every value.
   int threads = 0;
 
   // Builder helpers: append one axis each, return *this for chaining.  The
@@ -125,8 +126,8 @@ struct SweepSpec {
   /// grid_size() * replications: the number of simulation runs.
   std::size_t cell_count() const noexcept;
 
-  /// Structural checks: replications >= 1, threads >= 0, ci_level in
-  /// (0, 1), non-empty axes, unique axis names, at most one
+  /// Structural checks: replications >= 1, threads in [0, kMaxThreads],
+  /// ci_level in (0, 1), non-empty axes, unique axis names, at most one
   /// policy/scenario/N axis, no param axis listed before a scenario axis
   /// (the scenario choice would silently overwrite it).  Throws
   /// facsp::ConfigError.  Per-cell scenario validation happens at

@@ -20,7 +20,7 @@
 // Discrete-event simulation
 #include "sim/event_queue.h"  // SimTime, the stable (time, seq) event heap
 #include "sim/rng.h"          // named deterministic streams
-#include "sim/stats.h"        // mean/CI/histogram/time-weighted
+#include "sim/stats.h"        // mean/CI/time-weighted
 #include "sim/timeseries.h"   // figure/CSV rendering
 
 // Cellular network substrate

@@ -223,11 +223,6 @@ void InferenceEngine::infer_into(std::span<const double> crisp_inputs,
   run(crisp_inputs, scratch, nullptr);
 }
 
-void InferenceEngine::infer_traced_into(std::span<const double> crisp_inputs,
-                                        InferenceScratch& scratch) const {
-  run(crisp_inputs, scratch, &scratch.fired);
-}
-
 OutputFuzzySet InferenceEngine::infer_traced(
     std::span<const double> crisp_inputs, std::vector<FiredRule>& fired) const {
   static thread_local InferenceScratch scratch;

@@ -51,7 +51,6 @@ struct FiredRule {
 struct InferenceScratch {
   std::vector<double> grades;       ///< fuzzified input grades, flat per input
   std::vector<double> activations;  ///< one activation per output term
-  std::vector<FiredRule> fired;     ///< fired-rule buffer (traced path only)
   std::vector<double> mu;           ///< defuzzifier sample buffer
 
   // Structure-of-arrays block for the batched path (infer_batch_into /
@@ -92,11 +91,6 @@ class InferenceEngine {
   /// bookkeeping.  Zero heap allocations once scratch is warm.
   void infer_into(std::span<const double> crisp_inputs,
                   InferenceScratch& scratch) const;
-
-  /// As infer_into(), but also fills scratch.fired with every rule of
-  /// non-zero firing strength, descending by strength.
-  void infer_traced_into(std::span<const double> crisp_inputs,
-                         InferenceScratch& scratch) const;
 
   /// Structure-of-arrays batched inference over `rows` decisions (1 <=
   /// rows <= kLanes): `crisp_inputs` holds rows * input-count values

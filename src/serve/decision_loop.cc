@@ -23,7 +23,7 @@ using core::format_double;
 void ServerConfig::validate(bool live) const {
   scenario.validate();
   if (shards < 1) throw ConfigError("server: shards must be >= 1");
-  if (threads < 0) throw ConfigError("server: threads must be >= 0");
+  sim::ThreadPool::validate_threads(threads, "server");
   if (batch_window_s <= 0.0 || batch_window_s > 1.0)
     throw ConfigError("server: batch_window_s must be in (0, 1]");
   if (batch_max < 1) throw ConfigError("server: batch_max must be >= 1");
@@ -333,7 +333,9 @@ ServerResult DecisionServer::run() {
   result.telemetry.reserve(static_cast<std::size_t>(duration_s_));
   result.latency.reserve(static_cast<std::size_t>(duration_s_));
 
-  const unsigned threads = sim::ThreadPool::resolve_threads(config_.threads);
+  // Never more workers than shards: a surplus worker has no shard to drain.
+  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
+      sim::ThreadPool::resolve_threads(config_.threads), shards_.size()));
   std::unique_ptr<sim::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<sim::ThreadPool>(threads);
 

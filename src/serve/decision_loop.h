@@ -65,8 +65,9 @@ struct ServerConfig {
   double handoff_fraction = 0.25;
   /// Independent cells served (fixed by config — never by thread count).
   int shards = 4;
-  /// Worker threads draining shards (1 = serial; 0 = hardware concurrency).
-  /// Pure throughput knob: telemetry is byte-identical for every value.
+  /// Worker threads draining shards (1 = serial; 0 = hardware concurrency;
+  /// at most sim::ThreadPool::kMaxThreads; never more than shards).  Pure
+  /// throughput knob: telemetry is byte-identical for every value.
   int threads = 1;
   /// Admission-batching window: requests buffer at most this long before
   /// the batch is decided (seconds, <= 1).  0.1 s keeps batches large

@@ -118,59 +118,6 @@ double student_t_quantile(double level, std::uint64_t dof) {
   return lerp(thi, tlo, t);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0.0) {
-  FACSP_EXPECTS(hi > lo);
-  FACSP_EXPECTS(bins >= 1);
-}
-
-void Histogram::add(double x, double weight) {
-  FACSP_EXPECTS(weight >= 0.0);
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  counts_[idx] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  FACSP_EXPECTS(i < counts_.size());
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  FACSP_EXPECTS(i < counts_.size());
-  return lo_ + static_cast<double>(i + 1) * width_;
-}
-
-double Histogram::bin_weight(std::size_t i) const {
-  FACSP_EXPECTS(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::quantile(double q) const {
-  FACSP_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (total_ <= 0.0) return lo_;
-  const double target = q * total_;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (acc + counts_[i] >= target) {
-      const double within =
-          counts_[i] > 0.0 ? (target - acc) / counts_[i] : 0.0;
-      return bin_lo(i) + within * width_;
-    }
-    acc += counts_[i];
-  }
-  return hi_;
-}
-
 void TimeWeighted::start(SimTime t0, double value) {
   started_ = true;
   t0_ = last_t_ = t0;

@@ -1,10 +1,10 @@
 // Output analysis: streaming summary statistics, confidence intervals,
-// histograms and time-weighted averages for simulation metrics.
+// time-weighted averages and ratio counters for simulation metrics.  (The
+// one histogram is obs::LogLinearHistogram, obs/histogram.h.)
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/event_queue.h"  // SimTime
 
@@ -44,30 +44,6 @@ class SummaryStats {
 /// Two-sided Student-t quantile t_{(1+level)/2, dof} (normal approximation
 /// above 120 dof; tabulated below).  Exposed for tests.
 double student_t_quantile(double level, std::uint64_t dof);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples land in
-/// saturated edge bins so mass is never silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  double bin_weight(std::size_t i) const;
-  double total_weight() const noexcept { return total_; }
-
-  /// Approximate quantile (q in [0,1]) by linear interpolation within the
-  /// containing bin.  Returns lo for an empty histogram.
-  double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
 
 /// Time-weighted average of a piecewise-constant signal (e.g. occupied
 /// bandwidth): integrates value*dt between updates.

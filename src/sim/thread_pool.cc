@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <string>
 
+#include "common/error.h"
 #include "common/expects.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,6 +25,12 @@ obs::Histogram* task_ns_histogram() {
 }
 
 }  // namespace
+
+void ThreadPool::validate_threads(int requested, std::string_view owner) {
+  if (requested < 0 || requested > kMaxThreads)
+    throw ConfigError(std::string(owner) + ": threads must be in [0, " +
+                      std::to_string(kMaxThreads) + "]");
+}
 
 unsigned ThreadPool::resolve_threads(int requested) noexcept {
   if (requested > 0) return static_cast<unsigned>(requested);

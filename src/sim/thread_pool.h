@@ -11,6 +11,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -34,6 +35,15 @@ class ThreadPool {
 
   /// Worker count the pool resolved to (>= 1).
   unsigned size() const noexcept { return size_; }
+
+  /// Largest thread knob a config may request.  The knobs come from
+  /// config files and command lines, and each worker is an OS thread.
+  static constexpr int kMaxThreads = 256;
+
+  /// Throw facsp::ConfigError naming `owner` unless `requested` is a valid
+  /// thread knob: 0 (hardware concurrency) up to kMaxThreads.  Every
+  /// validate() that reads a thread knob calls this.
+  static void validate_threads(int requested, std::string_view owner);
 
   /// Resolve a user-facing thread knob: 0 -> hardware concurrency, else the
   /// requested count (clamped to >= 1).

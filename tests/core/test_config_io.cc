@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "common/error.h"
 #include "core/paper.h"
+#include "sim/thread_pool.h"
 
 namespace facsp::core {
 namespace {
@@ -159,6 +161,20 @@ TEST(ConfigIo, SemanticValidationApplies) {
   // Parses fine, but the mix does not sum to 1 -> ConfigError from
   // validate().
   EXPECT_THROW(scenario_from_string("traffic.mix.text = 0.9\n"), ConfigError);
+}
+
+TEST(ConfigIo, ThreadCountsAboveTheCapAreRejected) {
+  // sim.threads arrives from config files and --cell-threads; each worker
+  // is an OS thread.  Only validate() runs here: no pool is built.
+  ScenarioConfig s = paper_scenario();
+  const std::string cap = std::to_string(sim::ThreadPool::kMaxThreads);
+  apply_scenario_key(s, "sim.threads", cap);
+  EXPECT_NO_THROW(s.validate());
+  apply_scenario_key(s, "sim.threads",
+                     std::to_string(sim::ThreadPool::kMaxThreads + 1));
+  EXPECT_THROW(s.validate(), ConfigError);
+  apply_scenario_key(s, "sim.threads", "100000");
+  EXPECT_THROW(s.validate(), ConfigError);
 }
 
 TEST(ConfigIo, FileRoundTrip) {

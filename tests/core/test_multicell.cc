@@ -1,8 +1,7 @@
 // The multi-cell sharded engine (core/multicell.h):
 //
-//   * a 1-cell engine run IS the single-world SessionDriver run, bit for
-//     bit — checked against both a direct driver run and the PR 3 golden
-//     paper-grid cells;
+//   * a 1-cell engine run is the single-world run: it lands on the
+//     golden paper-grid cells;
 //   * sharded runs are bit-identical for every engine thread count
 //     ({1, 2, 4, 8}, per-cell and aggregate);
 //   * handover conservation: every departure routes to a hex neighbour or
@@ -21,13 +20,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cac/policy.h"
 #include "common/error.h"
+#include "core/experiment.h"
 #include "core/paper.h"
 #include "obs/metrics.h"
 #include "core/report.h"
 #include "core/sweep.h"
-#include "sim/rng.h"
 #include "workload/catalog.h"
 
 namespace facsp::core {
@@ -37,6 +35,14 @@ ScenarioConfig storm_scenario(int engine_threads = 1) {
   ScenarioConfig s = workload::catalog_scenario("multicell-handover-storm");
   s.multicell.threads = engine_threads;
   return s;
+}
+
+/// Every cell's row, read after run().
+std::vector<MultiCellEngine::Cell> cells_of(const MultiCellEngine& engine) {
+  std::vector<MultiCellEngine::Cell> cells;
+  for (int k = 0; k < engine.cell_count(); ++k)
+    cells.push_back(engine.cell(k));
+  return cells;
 }
 
 void expect_same_metrics(const cellular::MetricsCollector& a,
@@ -50,32 +56,6 @@ void expect_same_metrics(const cellular::MetricsCollector& a,
 }
 
 // --- 1-cell degeneration ---------------------------------------------------
-
-TEST(MultiCellEngine, OneCellRunIsTheSessionDriverRunBitForBit) {
-  // The paper scenario (rings = 1, mobility on) exercises the departure
-  // path too: sessions leaving the disc cross the engine's world edge.
-  const ScenarioConfig scen = paper_scenario();
-  for (const std::uint64_t rep : {0ull, 1ull, 2ull}) {
-    SCOPED_TRACE("rep=" + std::to_string(rep));
-    cac::DeferredPolicy policy;
-    SessionDriver driver(scen, policy, rep);
-    sim::RngFactory rng(sim::hash_seed(scen.seed, "policy", rep));
-    policy.inner = make_facs_p_factory()(driver.network(), rng);
-    const RunResult direct = driver.run(60);
-
-    MultiCellEngine engine(scen, make_facs_p_factory(), rep);
-    ASSERT_EQ(engine.cell_count(), 1);
-    const MultiCellResult multi = engine.run(60);
-
-    expect_same_metrics(direct.metrics, multi.aggregate.metrics);
-    EXPECT_EQ(direct.center_utilization, multi.aggregate.center_utilization);
-    EXPECT_EQ(direct.duration_s, multi.aggregate.duration_s);
-    EXPECT_EQ(direct.events, multi.aggregate.events);
-    ASSERT_EQ(multi.cells.size(), 1u);
-    EXPECT_EQ(multi.cells[0].handoffs_out, 0u);
-    EXPECT_EQ(multi.cells[0].handoffs_in, 0u);
-  }
-}
 
 TEST(MultiCellEngine, OneCellRunReproducesPaperGridGoldenCells) {
   // The PR 3 golden cells (captured pre-refactor at full precision):
@@ -107,26 +87,28 @@ TEST(MultiCellEngine, OneCellRunReproducesPaperGridGoldenCells) {
 TEST(MultiCellEngine, ShardedRunsAreBitIdenticalForEveryThreadCount) {
   MultiCellEngine serial(storm_scenario(1), make_facs_p_factory(), 0);
   const MultiCellResult base = serial.run(100);
-  ASSERT_EQ(base.cells.size(), 7u);
+  const std::vector<MultiCellEngine::Cell> base_cells = cells_of(serial);
+  ASSERT_EQ(base_cells.size(), 7u);
   // Sanity: real inter-cell traffic flowed.
   std::uint64_t total_in = 0;
-  for (const auto& c : base.cells) total_in += c.handoffs_in;
+  for (const auto& c : base_cells) total_in += c.handoffs_in;
   EXPECT_GT(total_in, 0u);
 
   for (const int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     MultiCellEngine engine(storm_scenario(threads), make_facs_p_factory(), 0);
     const MultiCellResult got = engine.run(100);
-    ASSERT_EQ(got.cells.size(), base.cells.size());
-    for (std::size_t k = 0; k < base.cells.size(); ++k) {
+    const std::vector<MultiCellEngine::Cell> got_cells = cells_of(engine);
+    ASSERT_EQ(got_cells.size(), base_cells.size());
+    for (std::size_t k = 0; k < base_cells.size(); ++k) {
       SCOPED_TRACE("cell=" + std::to_string(k));
-      expect_same_metrics(base.cells[k].run.metrics, got.cells[k].run.metrics);
-      EXPECT_EQ(base.cells[k].run.center_utilization,
-                got.cells[k].run.center_utilization);
-      EXPECT_EQ(base.cells[k].run.events, got.cells[k].run.events);
-      EXPECT_EQ(base.cells[k].handoffs_out, got.cells[k].handoffs_out);
-      EXPECT_EQ(base.cells[k].handoffs_in, got.cells[k].handoffs_in);
-      EXPECT_EQ(base.cells[k].left_world, got.cells[k].left_world);
+      expect_same_metrics(base_cells[k].run.metrics, got_cells[k].run.metrics);
+      EXPECT_EQ(base_cells[k].run.center_utilization,
+                got_cells[k].run.center_utilization);
+      EXPECT_EQ(base_cells[k].run.events, got_cells[k].run.events);
+      EXPECT_EQ(base_cells[k].handoffs_out, got_cells[k].handoffs_out);
+      EXPECT_EQ(base_cells[k].handoffs_in, got_cells[k].handoffs_in);
+      EXPECT_EQ(base_cells[k].left_world, got_cells[k].left_world);
     }
     expect_same_metrics(base.aggregate.metrics, got.aggregate.metrics);
     EXPECT_EQ(base.aggregate.center_utilization,
@@ -259,7 +241,7 @@ void expect_handover_conservation(const ScenarioConfig& scen) {
 
   // Cumulative conservation: in-grid departures equal delivered arrivals...
   std::uint64_t out_sum = 0, in_sum = 0, left_sum = 0;
-  for (const auto& c : result.cells) {
+  for (const auto& c : cells_of(engine)) {
     out_sum += c.handoffs_out;
     in_sum += c.handoffs_in;
     left_sum += c.left_world;
@@ -298,13 +280,14 @@ TEST(MultiCellEngine, HandoverConservationHoldsOnASparseGrid) {
 TEST(MultiCellEngine, EveryCellOffersItsOwnWorkload) {
   MultiCellEngine engine(storm_scenario(), make_facs_p_factory(), 0);
   const MultiCellResult result = engine.run(40);
-  ASSERT_EQ(result.cells.size(), 7u);
-  for (const auto& c : result.cells)
+  const std::vector<MultiCellEngine::Cell> cells = cells_of(engine);
+  ASSERT_EQ(cells.size(), 7u);
+  for (const auto& c : cells)
     EXPECT_EQ(c.run.metrics.offered_new(), 40u);
   EXPECT_EQ(result.aggregate.metrics.offered_new(), 7u * 40u);
   // Shards simulate different worlds: their workloads must not be clones.
-  EXPECT_NE(result.cells[0].run.center_utilization,
-            result.cells[1].run.center_utilization);
+  EXPECT_NE(cells[0].run.center_utilization,
+            cells[1].run.center_utilization);
 }
 
 // --- sweep-layer composition ----------------------------------------------
@@ -371,8 +354,15 @@ TEST(MultiCellConfig, EventDrivenKeysValidate) {
 
 // --- event-driven scheduling ------------------------------------------------
 
-void expect_same_multicell_result(const MultiCellResult& a,
-                                  const MultiCellResult& b) {
+/// One observed replication: its aggregate, every cell's row and a copy of
+/// every barrier's EpochStats.
+struct Observed {
+  RunResult aggregate;
+  std::vector<MultiCellEngine::Cell> cells;
+  std::vector<MultiCellEngine::EpochStats> epochs;
+};
+
+void expect_same_multicell_result(const Observed& a, const Observed& b) {
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t k = 0; k < a.cells.size(); ++k) {
     SCOPED_TRACE("cell=" + std::to_string(k));
@@ -402,15 +392,15 @@ void expect_same_multicell_result(const MultiCellResult& a,
 
 /// Runs `engine` with an observer that keeps a copy of every barrier's
 /// EpochStats.
-std::pair<MultiCellResult, std::vector<MultiCellEngine::EpochStats>>
-run_observed(MultiCellEngine& engine, int n) {
-  std::vector<MultiCellEngine::EpochStats> epochs;
+Observed run_observed(MultiCellEngine& engine, int n) {
+  Observed out;
   engine.set_epoch_observer(
-      [&epochs](const MultiCellEngine::EpochStats& es) {
-        epochs.push_back(es);
+      [&out](const MultiCellEngine::EpochStats& es) {
+        out.epochs.push_back(es);
       });
-  MultiCellResult result = engine.run(n);
-  return {std::move(result), std::move(epochs)};
+  out.aggregate = engine.run(n).aggregate;
+  out.cells = cells_of(engine);
+  return out;
 }
 
 void expect_same_epoch(const MultiCellEngine::EpochStats& a,
@@ -447,11 +437,13 @@ TEST(MultiCellEngine, EventSkippingIsBitIdenticalToFullDrains) {
 
       MultiCellEngine full(s, make_facs_p_factory(), 0);
       full.set_force_full_drains(true);
-      const auto [base, base_epochs] = run_observed(full, 60);
+      const Observed base = run_observed(full, 60);
 
       MultiCellEngine skipping(s, make_facs_p_factory(), 0);
-      const auto [got, got_epochs] = run_observed(skipping, 60);
+      const Observed got = run_observed(skipping, 60);
       expect_same_multicell_result(base, got);
+      const auto& base_epochs = base.epochs;
+      const auto& got_epochs = got.epochs;
 
       // Barrier by barrier: the event-driven run's barriers are the eager
       // run's non-skipped ones (same t_end), with identical stats; every
@@ -477,15 +469,16 @@ TEST(MultiCellEngine, WorkloadCellsRestrictsFreshTraffic) {
   s.multicell.workload_cells = 1;
   MultiCellEngine engine(s, make_facs_p_factory(), 0);
   const MultiCellResult result = engine.run(40);
-  ASSERT_EQ(result.cells.size(), 7u);
-  EXPECT_EQ(result.cells[0].run.metrics.offered_new(), 40u);
-  for (std::size_t k = 1; k < result.cells.size(); ++k)
-    EXPECT_EQ(result.cells[k].run.metrics.offered_new(), 0u);
+  const std::vector<MultiCellEngine::Cell> cells = cells_of(engine);
+  ASSERT_EQ(cells.size(), 7u);
+  EXPECT_EQ(cells[0].run.metrics.offered_new(), 40u);
+  for (std::size_t k = 1; k < cells.size(); ++k)
+    EXPECT_EQ(cells[k].run.metrics.offered_new(), 0u);
   EXPECT_EQ(result.aggregate.metrics.offered_new(), 40u);
   // The quiet neighbours still light up on inbound handovers.
   std::uint64_t in_sum = 0;
-  for (std::size_t k = 1; k < result.cells.size(); ++k)
-    in_sum += result.cells[k].handoffs_in;
+  for (std::size_t k = 1; k < cells.size(); ++k)
+    in_sum += cells[k].handoffs_in;
   EXPECT_GT(in_sum, 0u);
 }
 
@@ -558,14 +551,19 @@ TEST(MultiCellEngine, DriverOfAnUnbuiltShardIsAContractViolation) {
   ScenarioConfig s = storm_scenario();
   s.multicell.workload_cells = 1;
   MultiCellEngine engine(s, make_facs_p_factory(), 0);
-  // Nothing is built before run().
+  // Nothing is built before run(); an unbuilt cell reads as the idle cell.
   EXPECT_FALSE(engine.built(0));
   EXPECT_THROW(engine.driver(0), ContractViolation);
+  EXPECT_EQ(engine.cell(0).run.duration_s,
+            SessionDriver::idle_result().duration_s);
+  EXPECT_EQ(engine.cell(0).run.events, 0u);
   engine.run(10);
   EXPECT_TRUE(engine.built(0));  // the generating cell
   EXPECT_NO_THROW(engine.driver(0));
+  EXPECT_GT(engine.cell(0).run.events, 0u);
   EXPECT_THROW(engine.driver(-1), ContractViolation);
   EXPECT_THROW(engine.driver(engine.cell_count()), ContractViolation);
+  EXPECT_THROW(engine.cell(engine.cell_count()), ContractViolation);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 //     begin + advance_until, stays within the nodes its per-call maps take
 //     (sessions_ and BaseStation::held_ for an admitted call; held_ on the
 //     target for a handoff — FACS-P keeps no per-call record) plus a fixed
-//     slack for container growth, while it fires many more events;
+//     slack for container growth (heap, maps, departure list), while it
+//     fires many more events;
 //   * an epoch observer costs only one-time buffer growth: EpochStats and
 //     its routes persist across barriers, so an observed handover-storm run
 //     allocates at most 64 more times than an identical unobserved one;
@@ -22,9 +23,9 @@
 
 #include <vector>
 
-#include "cac/facs_p.h"
 #include "cac/policy.h"
 #include "cellular/network.h"
+#include "core/experiment.h"
 #include "core/multicell.h"
 #include "core/session.h"
 #include "obs/metrics.h"
@@ -42,8 +43,7 @@ using testutil::allocations;
 TEST(SessionDriverAlloc, EventLoopAllocatesPerAdmissionNotPerEvent) {
   const ScenarioConfig scen =
       workload::catalog_scenario("multicell-handover-storm");
-  cac::FacsPPolicy policy;
-  SessionDriver driver(scen, policy, 0);
+  SessionDriver driver(scen, make_facs_p_factory(), 0);
   driver.begin(100);
 
   const std::size_t before = allocations();
@@ -52,10 +52,12 @@ TEST(SessionDriverAlloc, EventLoopAllocatesPerAdmissionNotPerEvent) {
 
   const RunResult r = driver.result();
   ASSERT_TRUE(driver.idle());
-  // Heap, map and bucket growth: a few dozen reallocations and rehashes.
+  // Heap, map, bucket and departure-list growth: a few dozen reallocations
+  // and rehashes.
   constexpr std::size_t kGrowthSlack = 64;
   const std::size_t bound = 2 * r.metrics.accepted_new() +
                             r.metrics.handoff_successes() + kGrowthSlack;
+  RecordProperty("allocations", static_cast<int>(allocated));
   EXPECT_LE(allocated, bound)
       << allocated << " allocations for " << r.events << " events, "
       << r.metrics.accepted_new() << " admissions and "
@@ -139,6 +141,7 @@ TEST(MultiCellAlloc, SparseReplicationAllocatesPerBuiltShardNotPerCell) {
   constexpr std::size_t kPerShard = 36;
   constexpr std::size_t kPerAdmission = 3;
   constexpr std::size_t kFixed = 64;
+  RecordProperty("allocations", static_cast<int>(large.allocations));
   EXPECT_LE(large.allocations, kPerShard * large.shards_built +
                                    kPerAdmission * large.admissions + kFixed)
       << large.allocations << " allocations for " << large.shards_built

@@ -1,8 +1,9 @@
-#include "core/session.h"
-
+// A replication's results, run the one way a replication runs: through the
+// multi-cell engine, here on its default single cell.
 #include <gtest/gtest.h>
 
-#include "cac/guard_channel.h"
+#include "core/experiment.h"
+#include "core/multicell.h"
 #include "core/paper.h"
 
 namespace facsp::core {
@@ -15,11 +16,14 @@ ScenarioConfig small_scenario(std::uint64_t seed = 7) {
   return s;
 }
 
+RunResult run(const ScenarioConfig& scen, const PolicyFactory& factory,
+              std::uint64_t replication, int n) {
+  return MultiCellEngine(scen, factory, replication).run(n).aggregate;
+}
+
 TEST(SessionDriver, AllCallsResolveEventually) {
   auto scen = small_scenario();
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 0);
-  const RunResult r = driver.run(40);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 0, 40);
   // Every offered call was decided...
   EXPECT_EQ(r.metrics.offered_new(), 40u);
   // ...and every admitted call ended as completed or dropped.
@@ -31,9 +35,7 @@ TEST(SessionDriver, AllCallsResolveEventually) {
 
 TEST(SessionDriver, ZeroRequestsIsClean) {
   auto scen = small_scenario();
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 0);
-  const RunResult r = driver.run(0);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 0, 0);
   EXPECT_EQ(r.metrics.offered_new(), 0u);
   EXPECT_DOUBLE_EQ(r.center_utilization, 0.0);
 }
@@ -41,17 +43,13 @@ TEST(SessionDriver, ZeroRequestsIsClean) {
 TEST(SessionDriver, CompleteSharingAcceptsEverythingAtLightLoad) {
   auto scen = small_scenario();
   scen.traffic.arrival_window_s = 3600.0;  // almost no overlap
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 1);
-  const RunResult r = driver.run(10);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 1, 10);
   EXPECT_DOUBLE_EQ(r.metrics.acceptance_percent(), 100.0);
 }
 
 TEST(SessionDriver, UtilizationPositiveWhenCallsAdmitted) {
   auto scen = small_scenario();
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 2);
-  const RunResult r = driver.run(30);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 2, 30);
   ASSERT_GT(r.metrics.accepted_new(), 0u);
   EXPECT_GT(r.center_utilization, 0.0);
   EXPECT_LE(r.center_utilization, 1.0);
@@ -61,9 +59,7 @@ TEST(SessionDriver, MobilityProducesHandoffsOrCoverageExits) {
   auto scen = small_scenario();
   scen.traffic.fixed_speed_kmh = 100.0;     // fast users cross cells
   scen.traffic.mean_holding_s = 240.0;      // long enough to move
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 3);
-  const RunResult r = driver.run(30);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 3, 30);
   // Fast users starting anywhere in a 2 km cell must reach a boundary.
   EXPECT_GT(r.metrics.handoff_attempts() + r.metrics.completed(), 0u);
   EXPECT_GT(r.metrics.handoff_attempts(), 0u);
@@ -72,18 +68,16 @@ TEST(SessionDriver, MobilityProducesHandoffsOrCoverageExits) {
 TEST(SessionDriver, NoMobilityMeansNoHandoffs) {
   auto scen = small_scenario();
   scen.enable_mobility = false;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 4);
-  const RunResult r = driver.run(30);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 4, 30);
   EXPECT_EQ(r.metrics.handoff_attempts(), 0u);
   EXPECT_EQ(r.metrics.dropped(), 0u);
 }
 
 TEST(SessionDriver, SameSeedSameResult) {
   auto scen = small_scenario(42);
-  cac::CompleteSharingPolicy p1, p2;
-  const RunResult a = SessionDriver(scen, p1, 5).run(25);
-  const RunResult b = SessionDriver(scen, p2, 5).run(25);
+  const PolicyFactory cs = make_complete_sharing_factory();
+  const RunResult a = run(scen, cs, 5, 25);
+  const RunResult b = run(scen, cs, 5, 25);
   EXPECT_EQ(a.metrics.accepted_new(), b.metrics.accepted_new());
   EXPECT_EQ(a.metrics.handoff_attempts(), b.metrics.handoff_attempts());
   EXPECT_DOUBLE_EQ(a.center_utilization, b.center_utilization);
@@ -92,25 +86,22 @@ TEST(SessionDriver, SameSeedSameResult) {
 
 TEST(SessionDriver, DifferentReplicationsDiffer) {
   auto scen = small_scenario(42);
-  cac::CompleteSharingPolicy p1, p2;
-  const RunResult a = SessionDriver(scen, p1, 0).run(25);
-  const RunResult b = SessionDriver(scen, p2, 1).run(25);
+  const PolicyFactory cs = make_complete_sharing_factory();
+  const RunResult a = run(scen, cs, 0, 25);
+  const RunResult b = run(scen, cs, 1, 25);
   EXPECT_NE(a.events, b.events);
 }
 
 TEST(SessionDriver, UniformSpatialMapLoadsNeighborCells) {
   auto scen = small_scenario();
   scen.spatial.kind = workload::SpatialKind::kUniform;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 6);
-  const RunResult r = driver.run(20);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 6, 20);
   // Metrics still only count the centre's 20 offered calls.
   EXPECT_EQ(r.metrics.offered_new(), 20u);
   // But neighbour cells saw traffic: total events far exceed the
   // single-cell case.
-  cac::CompleteSharingPolicy p2;
   scen.spatial.kind = workload::SpatialKind::kCenterOnly;
-  const RunResult single = SessionDriver(scen, p2, 6).run(20);
+  const RunResult single = run(scen, make_complete_sharing_factory(), 6, 20);
   EXPECT_GT(r.events, 3 * single.events);
 }
 
@@ -122,13 +113,12 @@ TEST(SessionDriver, HotspotMapScalesNeighborLoadByRing) {
   scen.rings = 2;
   scen.spatial.kind = workload::SpatialKind::kHotspot;
   scen.spatial.hotspot_decay = 0.5;
-  cac::CompleteSharingPolicy hotspot_policy, center_policy, uniform_policy;
-  const RunResult hotspot =
-      SessionDriver(scen, hotspot_policy, 3).run(20);
+  const PolicyFactory cs = make_complete_sharing_factory();
+  const RunResult hotspot = run(scen, cs, 3, 20);
   scen.spatial.kind = workload::SpatialKind::kCenterOnly;
-  const RunResult center = SessionDriver(scen, center_policy, 3).run(20);
+  const RunResult center = run(scen, cs, 3, 20);
   scen.spatial.kind = workload::SpatialKind::kUniform;
-  const RunResult uniform = SessionDriver(scen, uniform_policy, 3).run(20);
+  const RunResult uniform = run(scen, cs, 3, 20);
   EXPECT_EQ(hotspot.metrics.offered_new(), 20u);
   EXPECT_GT(hotspot.events, center.events);
   EXPECT_LT(hotspot.events, uniform.events);
@@ -141,11 +131,11 @@ TEST(SessionDriver, GuardChannelReducesDropsVsCompleteSharing) {
   scen.traffic.arrival_window_s = 200.0;  // heavy load
   std::uint64_t drops_cs = 0, drops_gc = 0;
   std::uint64_t ho_cs = 0, ho_gc = 0;
+  const PolicyFactory cs = make_complete_sharing_factory();
+  const PolicyFactory gc = make_guard_channel_factory(8.0);
   for (std::uint64_t rep = 0; rep < 8; ++rep) {
-    cac::CompleteSharingPolicy cs;
-    cac::GuardChannelPolicy gc(8.0);
-    const auto rcs = SessionDriver(scen, cs, rep).run(60);
-    const auto rgc = SessionDriver(scen, gc, rep).run(60);
+    const auto rcs = run(scen, cs, rep, 60);
+    const auto rgc = run(scen, gc, rep, 60);
     drops_cs += rcs.metrics.dropped();
     drops_gc += rgc.metrics.dropped();
     ho_cs += rcs.metrics.handoff_attempts();

@@ -4,7 +4,8 @@
 #include <limits>
 #include <vector>
 
-#include "cac/guard_channel.h"
+#include "core/experiment.h"
+#include "core/multicell.h"
 #include "core/paper.h"
 #include "core/session.h"
 #include "facsp.h"  // umbrella header must compile and suffice on its own
@@ -19,15 +20,18 @@ ScenarioConfig base(std::uint64_t seed = 5) {
   return s;
 }
 
+RunResult run(const ScenarioConfig& scen, const PolicyFactory& factory,
+              std::uint64_t replication, int n) {
+  return MultiCellEngine(scen, factory, replication).run(n).aggregate;
+}
+
 TEST(SessionEdge, SingleCellNetworkHasNoHandoffTargets) {
   // rings = 0: a lone cell.  Mobile users crossing the boundary simply
   // leave coverage; nothing may crash and nothing may be dropped.
   auto scen = base();
   scen.rings = 0;
   scen.traffic.fixed_speed_kmh = 100.0;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 0);
-  const RunResult r = driver.run(30);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 0, 30);
   EXPECT_EQ(r.metrics.handoff_attempts(), 0u);
   EXPECT_EQ(r.metrics.dropped(), 0u);
   EXPECT_EQ(r.metrics.accepted_new(), r.metrics.completed());
@@ -36,9 +40,7 @@ TEST(SessionEdge, SingleCellNetworkHasNoHandoffTargets) {
 TEST(SessionEdge, StationaryUsersNeverHandOff) {
   auto scen = base();
   scen.traffic.fixed_speed_kmh = 0.0;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 1);
-  const RunResult r = driver.run(25);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 1, 25);
   EXPECT_EQ(r.metrics.handoff_attempts(), 0u);
   EXPECT_EQ(r.metrics.dropped(), 0u);
 }
@@ -49,18 +51,14 @@ TEST(SessionEdge, TinyCellProducesManyHandoffs) {
   scen.rings = 2;
   scen.traffic.fixed_speed_kmh = 60.0;
   scen.traffic.mean_holding_s = 120.0;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 2);
-  const RunResult r = driver.run(20);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 2, 20);
   EXPECT_GT(r.metrics.handoff_attempts(), 20u);
 }
 
 TEST(SessionEdge, HorizonCutsTheRunShort) {
   auto scen = base();
   scen.horizon_s = 50.0;  // well inside the arrival window
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 3);
-  const RunResult r = driver.run(50);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 3, 50);
   // Only arrivals before the horizon were processed.
   EXPECT_LT(r.metrics.offered_new(), 50u);
   EXPECT_LE(r.duration_s, 50.0 + 1e-9);
@@ -69,9 +67,7 @@ TEST(SessionEdge, HorizonCutsTheRunShort) {
 TEST(SessionEdge, CapacityOneCellStillConsistent) {
   auto scen = base();
   scen.capacity_bu = 1.0;  // only single text calls fit
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 4);
-  const RunResult r = driver.run(40);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 4, 40);
   EXPECT_EQ(r.metrics.accepted_new(),
             r.metrics.completed() + r.metrics.dropped());
   // Voice and video can never be admitted.
@@ -87,9 +83,7 @@ TEST(SessionEdge, AllVideoMixSaturatesInFourCalls) {
   scen.traffic.mix = cellular::TrafficMix{0.0, 0.0, 1.0};
   scen.traffic.arrival_window_s = 1.0;   // effectively simultaneous
   scen.traffic.mean_holding_s = 1000.0;  // nobody leaves
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 5);
-  const RunResult r = driver.run(10);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 5, 10);
   // 40 BU / 10 BU per video = exactly 4 admissions.
   EXPECT_EQ(r.metrics.accepted_new(), 4u);
 }
@@ -97,9 +91,7 @@ TEST(SessionEdge, AllVideoMixSaturatesInFourCalls) {
 TEST(SessionEdge, VeryShortHoldingTimesChurnCleanly) {
   auto scen = base();
   scen.traffic.mean_holding_s = 1.0;
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 6);
-  const RunResult r = driver.run(60);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 6, 60);
   // Practically no overlap: everything admitted and completed.
   EXPECT_GT(r.metrics.acceptance_percent(), 95.0);
   EXPECT_EQ(r.metrics.accepted_new(), r.metrics.completed());
@@ -116,9 +108,11 @@ TEST(SessionEdge, RejectingPolicyLeavesCellEmpty) {
     }
   };
   auto scen = base();
-  RejectAll policy;
-  SessionDriver driver(scen, policy, 7);
-  const RunResult r = driver.run(30);
+  const PolicyFactory reject_all = [](const cellular::CellularNetwork&,
+                                      sim::RngFactory&) {
+    return std::make_unique<RejectAll>();
+  };
+  const RunResult r = run(scen, reject_all, 7, 30);
   EXPECT_EQ(r.metrics.accepted_new(), 0u);
   EXPECT_DOUBLE_EQ(r.metrics.acceptance_percent(), 0.0);
   EXPECT_DOUBLE_EQ(r.center_utilization, 0.0);
@@ -127,16 +121,14 @@ TEST(SessionEdge, RejectingPolicyLeavesCellEmpty) {
 TEST(SessionEdge, ThrowingScenarioIsRejectedUpFront) {
   auto scen = base();
   scen.capacity_bu = -1.0;
-  cac::CompleteSharingPolicy policy;
-  EXPECT_THROW(SessionDriver(scen, policy, 0), ConfigError);
+  EXPECT_THROW(SessionDriver(scen, make_complete_sharing_factory(), 0),
+               ConfigError);
 }
 
 TEST(SessionEdge, DurationCoversLastEventNotHorizon) {
   auto scen = base();
   scen.horizon_s = 1e6;  // far beyond any activity
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 8);
-  const RunResult r = driver.run(10);
+  const RunResult r = run(scen, make_complete_sharing_factory(), 8, 10);
   // Active period is the arrival window plus holding tails, nowhere near
   // the horizon.
   EXPECT_LT(r.duration_s, 5000.0);
@@ -148,10 +140,10 @@ TEST(SessionEdge, DurationCoversLastEventNotHorizon) {
 // event time is known: a session admitted at w with holding h completes at
 // w + h and moves at w + 5, w + 10, ... (mobility_update_s = 5).
 
-SessionDriver::CellArrival inbound(cellular::ConnectionId id,
-                                   cellular::Point at, double speed_kmh,
-                                   sim::SimTime when, sim::SimTime holding) {
-  SessionDriver::CellArrival a;
+SessionDriver::Handover inbound(cellular::ConnectionId id, cellular::Point at,
+                                double speed_kmh, sim::SimTime when,
+                                sim::SimTime holding) {
+  SessionDriver::Handover a;
   a.conn.id = id;
   a.state = cellular::MobileState{at, speed_kmh, 0.0};
   a.when = when;
@@ -159,7 +151,7 @@ SessionDriver::CellArrival inbound(cellular::ConnectionId id,
   return a;
 }
 
-bool admit(SessionDriver& driver, const SessionDriver::CellArrival& a) {
+bool admit(SessionDriver& driver, const SessionDriver::Handover& a) {
   return driver.admit_inbound(a, driver.inbound_request(a));
 }
 
@@ -177,11 +169,8 @@ TEST(SessionEdge, StaleEventsNeverHitASessionBackUnderItsId) {
   // top of the heap and A's stale events stay queued beneath it instead of
   // being skimmed off an otherwise empty heap.
   const auto scen = lone_cell();
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 0);
-  std::vector<SessionDriver::CellDeparture> departed;
-  driver.set_departure_sink(
-      [&departed](SessionDriver::CellDeparture d) { departed.push_back(d); });
+  SessionDriver driver(scen, make_complete_sharing_factory(), 0);
+  const std::vector<SessionDriver::Handover>& departed = driver.departures();
   driver.begin(0);
   constexpr cellular::ConnectionId kA = 42, kB = 7;
   ASSERT_TRUE(admit(driver, inbound(kB, {0.0, 0.0}, 0.0, 0.0, 1000.0)));
@@ -217,8 +206,7 @@ TEST(SessionEdge, StaleEventsNeverHitASessionBackUnderItsId) {
 
 TEST(SessionEdge, AdvanceParksTheClockAndRejectsPastOrNonFiniteEvents) {
   const auto scen = lone_cell();
-  cac::CompleteSharingPolicy policy;
-  SessionDriver driver(scen, policy, 0);
+  SessionDriver driver(scen, make_complete_sharing_factory(), 0);
   driver.begin(0);
   EXPECT_TRUE(driver.idle());
   ASSERT_TRUE(admit(driver, inbound(1, {0.0, 0.0}, 0.0, 0.0, 100.0)));

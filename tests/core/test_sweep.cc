@@ -16,6 +16,7 @@
 #include "common/error.h"
 #include "core/paper.h"
 #include "core/report.h"
+#include "sim/thread_pool.h"
 #include "workload/catalog.h"
 
 namespace facsp::core {
@@ -64,6 +65,14 @@ TEST(SweepSpec, ValidateRejectsStructuralErrors) {
   {
     SweepSpec spec;
     spec.threads = -2;
+    EXPECT_THROW(spec.validate(), ConfigError);
+  }
+  {
+    // Each worker is an OS thread; validate() alone, no runner is built.
+    SweepSpec spec;
+    spec.threads = sim::ThreadPool::kMaxThreads + 1;
+    EXPECT_THROW(spec.validate(), ConfigError);
+    spec.threads = 100000;
     EXPECT_THROW(spec.validate(), ConfigError);
   }
   {

@@ -121,22 +121,6 @@ TEST_F(InferenceFixture, OutputSetGradeClipsAtActivation) {
   EXPECT_DOUBLE_EQ(res.grade(output, 0.5), 0.5);
 }
 
-TEST_F(InferenceFixture, TracedIntoMatchesTraced) {
-  const RuleBase rb({rule(kLo, kAny, kSmall), rule(kHi, kAny, kLarge),
-                     rule(kAny, kHi, kMid)},
-                    inputs, output);
-  const InferenceEngine engine(inputs, output, rb);
-  std::vector<FiredRule> fired;
-  const std::vector<double> in = {3.0, 8.0};
-  (void)engine.infer_traced(in, fired);
-  engine.infer_traced_into(in, scratch);
-  ASSERT_EQ(scratch.fired.size(), fired.size());
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    EXPECT_EQ(scratch.fired[i].rule_index, fired[i].rule_index);
-    EXPECT_DOUBLE_EQ(scratch.fired[i].strength, fired[i].strength);
-  }
-}
-
 TEST_F(InferenceFixture, ScratchIsReusableAcrossEngines) {
   // A scratch sized by a wide engine must still work for a narrow one and
   // vice versa — buffers are resized logically per call.

@@ -12,6 +12,7 @@
 // forever; the margins below were calibrated with z ~ 5.6 headroom.
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
 #include "core/multicell.h"
 #include "sim/stats.h"
 #include "workload/catalog.h"

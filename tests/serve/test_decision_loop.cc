@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "sim/thread_pool.h"
 #include "workload/catalog.h"
 
 namespace facsp::serve {
@@ -142,6 +143,15 @@ TEST(ServerConfig, ValidationRejectsBadValues) {
   EXPECT_THROW(config.validate(true), ConfigError);
   config = small_config();
   config.handoff_fraction = 1.5;
+  EXPECT_THROW(config.validate(true), ConfigError);
+  // Each worker is an OS thread; validate() alone, no server is built.
+  config = small_config();
+  config.threads = sim::ThreadPool::kMaxThreads;
+  EXPECT_NO_THROW(config.validate(true));
+  config.threads = sim::ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW(config.validate(true), ConfigError);
+  config = small_config();
+  config.scenario.multicell.threads = sim::ThreadPool::kMaxThreads + 1;
   EXPECT_THROW(config.validate(true), ConfigError);
   config = small_config();
   config.duration_s = 0;

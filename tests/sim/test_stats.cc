@@ -97,50 +97,6 @@ TEST(StudentT, InvalidArgumentsThrow) {
   EXPECT_THROW(student_t_quantile(0.95, 0), ContractViolation);
 }
 
-TEST(Histogram, BinAssignment) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(5.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(9), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(5), 1.0);
-  EXPECT_DOUBLE_EQ(h.total_weight(), 3.0);
-}
-
-TEST(Histogram, OutOfRangeSaturatesEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(42.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(9), 1.0);
-  EXPECT_DOUBLE_EQ(h.total_weight(), 2.0);
-}
-
-TEST(Histogram, WeightedSamples) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.5, 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(1), 3.0);
-  EXPECT_THROW(h.add(1.0, -1.0), ContractViolation);
-}
-
-TEST(Histogram, QuantileInterpolation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_DOUBLE_EQ(Histogram(0.0, 1.0, 4).quantile(0.5), 0.0);  // empty
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(10.0, 20.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 12.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 18.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 20.0);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ContractViolation);
-}
-
 TEST(TimeWeighted, PiecewiseConstantAverage) {
   TimeWeighted tw;
   tw.start(0.0, 10.0);
